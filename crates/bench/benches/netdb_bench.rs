@@ -33,7 +33,7 @@ fn bench_queries(c: &mut Criterion) {
         b.iter(|| db.set_attr(black_box(&pod), "X", 1i64.into()).unwrap())
     });
     c.bench_function("netdb/snapshot_1152_devices", |b| {
-        b.iter(|| black_box(db.snapshot()))
+        b.iter(|| black_box(db.read_view()))
     });
 }
 

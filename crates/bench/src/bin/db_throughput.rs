@@ -135,9 +135,9 @@ fn main() {
 
     // Snapshot latency: O(1) Arc bump vs. the deep-clone baseline.
     let t0 = Instant::now();
-    let mut last = db.snapshot();
+    let mut last = db.read_view();
     for _ in 1..s.snap_iters {
-        last = db.snapshot();
+        last = db.read_view();
     }
     let snap_ns = t0.elapsed().as_nanos() as f64 / f64::from(s.snap_iters);
     let clone_iters = if smoke { 5 } else { 3 };
@@ -167,12 +167,12 @@ fn main() {
     let records = db.wal_records();
     let sharded = StoreSnapshot::replay(&records);
     let naive = Store::replay(&records);
-    let live = db.snapshot();
+    let live = db.read_view();
     let mut gate_failures = Vec::new();
     if sharded != naive {
         gate_failures.push("sharded replay diverged from naive replay");
     }
-    if live != sharded {
+    if *live != sharded {
         gate_failures.push("live state diverged from WAL replay");
     }
     if let Err(e) = live.self_check() {

@@ -368,13 +368,13 @@ fn main() {
         let (rt_occam, _) = deploy();
         occam_fn(&rt_occam).unwrap_or_else(|e| panic!("{name} occam failed: {e}"));
         // Compare end states, ignoring the legacy advisory-lock attribute.
-        let mut legacy_snap = rt_legacy.db().snapshot().materialize();
+        let mut legacy_snap = rt_legacy.db().read_view().materialize();
         for dev in legacy_snap.devices.values_mut() {
             dev.attrs.remove("WF_LOCK");
         }
-        let occam_snap = rt_occam.db().snapshot();
+        let occam_snap = rt_occam.db().read_view();
         assert_eq!(
-            legacy_snap, occam_snap,
+            legacy_snap, *occam_snap,
             "{name}: both implementations end in the same database state"
         );
 

@@ -349,7 +349,7 @@ fn exercise_update() -> occam::Runtime {
     let obs = UpdateObs::bind(runtime.obs());
 
     // Target config: new firmware on every pod-0/1 aggregation switch.
-    let old = runtime.db().snapshot();
+    let old = runtime.db().read_view();
     let scope = Pattern::from_glob("dc01.pod0[01].agg*").expect("glob");
     let mut records: Vec<WalRecord> = old
         .select_devices(&Pattern::universe())
@@ -544,7 +544,7 @@ fn exercise_repl() -> occam::obs::Registry {
     assert!(set.wait_converged(Duration::from_secs(10)), "convergence");
     let router = set.router();
     for _ in 0..8 {
-        router.snapshot().expect("routed read");
+        router.read_view().expect("routed read");
     }
     // Partition both followers and write through: the next routed read
     // exceeds the staleness bound and falls back to the leader.
@@ -555,7 +555,7 @@ fn exercise_repl() -> occam::obs::Registry {
             .insert_device(&format!("dc01.pod01.sw{i:02}"), vec![])
             .expect("write");
     }
-    router.snapshot().expect("stale fallback read");
+    router.read_view().expect("stale fallback read");
     set.set_partitioned(0, false);
     set.set_partitioned(1, false);
     assert!(set.wait_converged(Duration::from_secs(10)), "heal");

@@ -33,7 +33,7 @@
 //! # CI smoke: 300 writes, 500 reads per node, same gates
 //! ```
 
-use occam::netdb::{Database, ReplicaConfig, ReplicaSet, StoreSnapshot};
+use occam::netdb::{Database, ReadView, ReplicaConfig, ReplicaSet};
 use occam::obs::Registry;
 use occam_regex::Pattern;
 use std::fmt::Write as _;
@@ -45,13 +45,13 @@ const BARRIER: Duration = Duration::from_secs(60);
 
 /// Times `reads` scoped reads (snapshot + device selection over one pod)
 /// against a single node and returns reads/second.
-fn read_rate(snapshot: impl Fn() -> StoreSnapshot, scope: &Pattern, reads: u32) -> f64 {
+fn read_rate(read_view: impl Fn() -> ReadView, scope: &Pattern, reads: u32) -> f64 {
     // Warm-up: fault in the lazily-materialized shard indexes.
-    let snap = snapshot();
+    let snap = read_view();
     let mut sink = snap.select_devices(scope).len();
     let started = Instant::now();
     for _ in 0..reads {
-        let snap = snapshot();
+        let snap = read_view();
         sink += snap.select_devices(scope).len();
     }
     let elapsed = started.elapsed().as_secs_f64();
@@ -109,10 +109,10 @@ fn main() {
 
     // 2. Read throughput, each node in isolation (see module docs).
     let scope = Pattern::from_glob("dc01.pod03.*").expect("scope");
-    let leader_rate = read_rate(|| leader_db.snapshot(), &scope, reads);
+    let leader_rate = read_rate(|| leader_db.read_view(), &scope, reads);
     let mut follower_rates = Vec::new();
     for f in set.followers() {
-        follower_rates.push(read_rate(|| f.snapshot(), &scope, reads));
+        follower_rates.push(read_rate(|| f.db().read_view(), &scope, reads));
     }
     let follower_total: f64 = follower_rates.iter().sum();
     let read_ratio = follower_total / leader_rate;

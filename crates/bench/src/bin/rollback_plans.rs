@@ -39,7 +39,7 @@ fn main() {
     for func in steps {
         let (rt, _ft) = occam::emulated_deployment(1, 6);
         let svc = occam::emu_service(&rt);
-        let before = rt.db().snapshot();
+        let before = rt.db().read_view();
         svc.library().fail_at(func, 0);
         let report = rt.task("firmware_upgrade").run(upgrade);
         assert_eq!(report.state, TaskState::Aborted);
@@ -56,7 +56,7 @@ fn main() {
             }
         );
         let n = execute_rollback(&report, rt.db(), svc).unwrap();
-        let db_ok = rt.db().snapshot() == before;
+        let db_ok = rt.db().read_view() == before;
         let dev_ok = {
             let net = svc.net();
             let guard = net.lock();

@@ -134,7 +134,7 @@ fn main() {
     // Warm the view: the first refresh is the cold scan that seeds every
     // shard partial.
     let warm_started = Instant::now();
-    let warm = db.views().refresh(&db.snapshot(), &scope, &expects);
+    let warm = db.views().refresh(&db.read_view(), &scope, &expects);
     let warm_elapsed = warm_started.elapsed();
     assert_eq!(warm.devices, devices, "audit must see the whole fleet");
 
@@ -144,7 +144,7 @@ fn main() {
     let mut failed = false;
     for round in 0..shape.rounds {
         db.batch(&dirty_batch(&shape, round)).expect("dirty batch");
-        let snap = db.snapshot();
+        let snap = db.read_view();
 
         let started = Instant::now();
         let incr = db.views().refresh(&snap, &scope, &expects);

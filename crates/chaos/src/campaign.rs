@@ -344,7 +344,7 @@ impl Campaign {
         let text = self.db.dump_wal();
         match Database::recover(&text) {
             Ok(recovered) => {
-                if recovered.snapshot() != self.db.snapshot() {
+                if recovered.read_view() != self.db.read_view() {
                     self.violation(report, "WAL replay diverged from live state".to_string());
                 }
             }

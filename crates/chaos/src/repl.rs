@@ -124,7 +124,7 @@ pub fn run_repl_phase(cfg: &ReplChaosConfig) -> ReplChaosReport {
     if !set.wait_converged(BARRIER) {
         violation(&mut report, "partition: heal catch-up timed out".into());
     }
-    if let Err(e) = check_identical(&set.followers()[0].snapshot(), &leader_db.snapshot()) {
+    if let Err(e) = check_identical(&set.followers()[0].db().read_view(), &leader_db.read_view()) {
         violation(&mut report, format!("partition: after heal, {e}"));
     }
 
@@ -136,7 +136,9 @@ pub fn run_repl_phase(cfg: &ReplChaosConfig) -> ReplChaosReport {
         if !set.wait_converged(BARRIER) {
             violation(&mut report, "rejoin: bootstrap catch-up timed out".into());
         }
-        if let Err(e) = check_identical(&set.followers()[1].snapshot(), &leader_db.snapshot()) {
+        if let Err(e) =
+            check_identical(&set.followers()[1].db().read_view(), &leader_db.read_view())
+        {
             violation(&mut report, format!("rejoin: after bootstrap, {e}"));
         }
     }
@@ -181,7 +183,7 @@ pub fn run_repl_phase(cfg: &ReplChaosConfig) -> ReplChaosReport {
         violation(&mut report, "failover: survivor catch-up timed out".into());
     }
     for f in set.followers() {
-        if let Err(e) = check_identical(&f.snapshot(), &new_leader.snapshot()) {
+        if let Err(e) = check_identical(&f.db().read_view(), &new_leader.read_view()) {
             violation(
                 &mut report,
                 format!("failover: follower {} not identical: {e}", f.id()),

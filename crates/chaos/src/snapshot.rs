@@ -69,7 +69,7 @@ pub struct StateSnapshot {
 
 impl StateSnapshot {
     /// Captures both layers. Reads the database through
-    /// [`Database::snapshot`] (which bypasses the fault injector) and the
+    /// [`Database::read_view`] (which bypasses the fault injector) and the
     /// emulated network under its lock, so a capture is safe even while
     /// fault plans are armed.
     pub fn capture(db: &Database, service: &EmuService) -> StateSnapshot {

@@ -162,7 +162,7 @@ fn audit(
     report: &mut SpecChaosReport,
 ) -> bool {
     report.audits += 1;
-    let snap = sub.db.snapshot();
+    let snap = sub.db.read_view();
     let incremental = sub.db.views().refresh(&snap, scope, assertions);
     let cold = compliance_cold(&snap, scope, assertions);
     if !incremental.same_result(&cold) {

@@ -60,7 +60,6 @@ pub mod builder;
 pub mod error;
 pub mod network;
 pub mod pool;
-pub mod queue;
 pub mod recovery;
 pub mod retry;
 pub mod runtime;
@@ -71,7 +70,6 @@ pub use error::{TaskError, TaskResult};
 pub use network::Network;
 pub use occam_rollback::RollbackPlan;
 pub use pool::{PoolStats, PooledHandle, PooledJob};
-pub use queue::{TaskQueue, Ticket};
 pub use recovery::{execute_rollback, RecoveryError};
 pub use retry::RetryPolicy;
 pub use runtime::Runtime;

@@ -9,7 +9,7 @@
 use crate::error::{TaskError, TaskResult};
 use crate::task::{TaskCtx, UndoRecord};
 use occam_emunet::FuncArgs;
-use occam_netdb::{AttrValue, LinkKey, ReadSource, ReadView, StoreSnapshot, WriteOp};
+use occam_netdb::{AttrValue, LinkKey, ReadSource, ReadView, WriteOp};
 use occam_objtree::{LockMode, ObjectId};
 use occam_regex::Pattern;
 use occam_rollback::{func_optype, LogEntry, OpStatus};
@@ -60,27 +60,38 @@ impl<'t> Network<'t> {
         }
     }
 
-    /// Under optimistic execution: tracks this object's scope in the
-    /// attempt's read set, records the read for certification, and
-    /// returns a read-your-writes overlay of the frozen snapshot.
-    /// Returns `None` under 2PL.
-    fn occ_overlay(&self) -> Option<StoreSnapshot> {
-        let mut slot = self.ctx.occ.lock();
-        let st = slot.as_mut()?;
-        st.track_pattern(&self.pattern);
-        let at = st.base_commits;
-        let overlay = st.staged.overlay();
-        drop(slot);
-        self.ctx.record_read(&self.pattern, at);
-        Some(overlay)
+    /// The view an operation reads `scope` through, with the read recorded
+    /// in the certifier footprint at its exact commit position.
+    ///
+    /// Under optimistic execution that is a read-your-writes overlay of
+    /// the attempt's frozen base, and `scope` joins the attempt's read
+    /// set; under 2PL it is whatever `fetch` takes from the database.
+    fn read_scope(
+        &self,
+        scope: &Pattern,
+        fetch: impl FnOnce() -> occam_netdb::DbResult<ReadView>,
+    ) -> TaskResult<ReadView> {
+        let staged = self.ctx.occ.lock().as_mut().map(|st| {
+            st.track_pattern(scope);
+            let overlay = ReadView::new(st.staged.overlay(), ReadSource::Leader);
+            (overlay, st.base_commits)
+        });
+        let (view, at) = match staged {
+            Some(read) => read,
+            None => {
+                let view = fetch()?;
+                let at = view.commits();
+                (view, at)
+            }
+        };
+        self.ctx.record_read(scope, at);
+        Ok(view)
     }
 
-    /// One consistent read snapshot for the 2PL path, recorded in the
-    /// certifier footprint at its exact commit count.
-    fn read_snapshot(&self) -> TaskResult<StoreSnapshot> {
-        let snap = self.ctx.runtime().db().query_snapshot()?;
-        self.ctx.record_read(&self.pattern, snap.commits());
-        Ok(snap)
+    /// The view this object's own reads go through: one fault-checked
+    /// query of the leader under 2PL (see [`Network::read_scope`]).
+    fn read(&self) -> TaskResult<ReadView> {
+        self.read_scope(&self.pattern, || self.ctx.runtime().db().query_read_view())
     }
 
     /// Stages one batch under optimistic execution, tracking the rows it
@@ -108,10 +119,7 @@ impl<'t> Network<'t> {
     pub fn devices(&self) -> TaskResult<Vec<String>> {
         self.ctx.check_cancelled()?;
         self.ctx.runtime().obs_handles().ops_get.inc();
-        if let Some(snap) = self.occ_overlay() {
-            return Ok(snap.select_devices(&self.pattern));
-        }
-        Ok(self.read_snapshot()?.select_devices(&self.pattern))
+        Ok(self.read()?.select_devices(&self.pattern))
     }
 
     /// Reads one attribute for every device in the region: the paper's
@@ -119,20 +127,14 @@ impl<'t> Network<'t> {
     pub fn get(&self, attr: &str) -> TaskResult<BTreeMap<String, AttrValue>> {
         self.ctx.check_cancelled()?;
         self.ctx.runtime().obs_handles().ops_get.inc();
-        if let Some(snap) = self.occ_overlay() {
-            return Ok(snap.get_attr(&self.pattern, attr));
-        }
-        Ok(self.read_snapshot()?.get_attr(&self.pattern, attr))
+        Ok(self.read()?.get_attr(&self.pattern, attr))
     }
 
     /// Reads the full attribute map of every device in the region.
     pub fn get_all(&self) -> TaskResult<BTreeMap<String, BTreeMap<String, AttrValue>>> {
         self.ctx.check_cancelled()?;
         self.ctx.runtime().obs_handles().ops_get.inc();
-        if let Some(snap) = self.occ_overlay() {
-            return Ok(snap.get_all(&self.pattern));
-        }
-        Ok(self.read_snapshot()?.get_all(&self.pattern))
+        Ok(self.read()?.get_all(&self.pattern))
     }
 
     /// Reads one attribute across the links touching the region; link keys
@@ -140,10 +142,7 @@ impl<'t> Network<'t> {
     pub fn get_links(&self, attr: &str) -> TaskResult<BTreeMap<LinkKey, AttrValue>> {
         self.ctx.check_cancelled()?;
         self.ctx.runtime().obs_handles().ops_get.inc();
-        if let Some(snap) = self.occ_overlay() {
-            return Ok(snap.get_link_attr(&self.pattern, attr));
-        }
-        Ok(self.read_snapshot()?.get_link_attr(&self.pattern, attr))
+        Ok(self.read()?.get_link_attr(&self.pattern, attr))
     }
 
     /// Takes a consistent lock-free view of the whole store, scoped reads
@@ -164,20 +163,7 @@ impl<'t> Network<'t> {
         self.ctx.check_cancelled()?;
         self.ctx.runtime().obs_handles().ops_get.inc();
         let everything = self.ctx.runtime().pattern_cache().get(".*")?;
-        {
-            let mut slot = self.ctx.occ.lock();
-            if let Some(st) = slot.as_mut() {
-                st.track_pattern(&everything);
-                let at = st.base_commits;
-                let overlay = st.staged.overlay();
-                drop(slot);
-                self.ctx.record_read(&everything, at);
-                return Ok(ReadView::new(overlay, ReadSource::Leader));
-            }
-        }
-        let view = self.ctx.runtime().routed_view()?;
-        self.ctx.record_read(&everything, view.commits());
-        Ok(view)
+        self.read_scope(&everything, || self.ctx.runtime().routed_view())
     }
 
     /// Writes one attribute on every device in the region: the paper's
@@ -190,8 +176,8 @@ impl<'t> Network<'t> {
         self.require_write("set")?;
         self.ctx.runtime().obs_handles().ops_set.inc();
         let label = format!("set({attr})");
-        if let Some(snap) = self.occ_overlay() {
-            let devices = snap.select_devices(&self.pattern);
+        if self.ctx.occ_active() {
+            let devices = self.read()?.select_devices(&self.pattern);
             let ops: Vec<WriteOp> = devices
                 .iter()
                 .map(|n| WriteOp::SetDeviceAttr {
@@ -209,7 +195,7 @@ impl<'t> Network<'t> {
         let capture = || -> Result<Captured, TaskError> {
             // One snapshot: names and previous values are mutually
             // consistent even against concurrent writers.
-            let snap = self.read_snapshot()?;
+            let snap = self.read()?;
             let devices = snap.select_devices(&self.pattern);
             let current = snap.get_attr(&self.pattern, attr);
             let old = devices
@@ -293,7 +279,7 @@ impl<'t> Network<'t> {
             return self.occ_stage(&ops, values.keys().cloned().collect(), &label);
         }
         let db = self.ctx.runtime().db();
-        let current = self.read_snapshot()?.get_attr(&self.pattern, attr);
+        let current = self.read()?.get_attr(&self.pattern, attr);
         let old: Vec<(String, Option<AttrValue>)> = values
             .keys()
             .map(|d| (d.clone(), current.get(d).cloned()))
@@ -334,8 +320,8 @@ impl<'t> Network<'t> {
         self.require_write("set_links")?;
         self.ctx.runtime().obs_handles().ops_set.inc();
         let label = format!("set_links({attr})");
-        if let Some(snap) = self.occ_overlay() {
-            let keys = snap.links_touching(&self.pattern);
+        if self.ctx.occ_active() {
+            let keys = self.read()?.links_touching(&self.pattern);
             let ops: Vec<WriteOp> = keys
                 .iter()
                 .map(|(a, z)| WriteOp::SetLinkAttr {
@@ -354,7 +340,7 @@ impl<'t> Network<'t> {
             return Ok(keys);
         }
         let db = self.ctx.runtime().db();
-        let snap = self.read_snapshot()?;
+        let snap = self.read()?;
         let current = snap.get_link_attr(&self.pattern, attr);
         let keys = snap.links_touching(&self.pattern);
         let old: Vec<(LinkKey, Option<AttrValue>)> = keys
@@ -464,7 +450,7 @@ impl<'t> Network<'t> {
         if self.ctx.occ_active() {
             // The delete cascades into the links' peer rows; record them
             // as written so the certifier sees the cascade.
-            let snap = self.occ_overlay().expect("occ active");
+            let snap = self.read()?;
             let mut rows = vec![name.to_string()];
             for (a, z) in snap.links_touching(&one) {
                 rows.push(if a == name { z } else { a });
@@ -477,7 +463,7 @@ impl<'t> Network<'t> {
         let db = self.ctx.runtime().db();
         // Capture the row and its links for the undo payload — one
         // consistent snapshot for both.
-        let snap = self.read_snapshot()?;
+        let snap = self.read()?;
         let attrs: Vec<(String, AttrValue)> = snap
             .get_all(&one)
             .remove(name)

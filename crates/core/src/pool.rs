@@ -75,46 +75,7 @@ impl PoolShared {
         self.cv.notify_all();
     }
 
-    fn enqueue(self: &Arc<Self>, job: Job, urgent: bool) {
-        let spawn_worker = {
-            let mut st = self.state.lock();
-            if st.shutdown {
-                // Only reachable if a job is enqueued while the last
-                // runtime handle is dropping; run it inline for
-                // correctness rather than losing it.
-                drop(st);
-                job();
-                return;
-            }
-            if urgent {
-                st.urgent.push_back(job);
-            } else {
-                st.normal.push_back(job);
-            }
-            // Spawn whenever there are more queued jobs (including this
-            // one) than idle workers to absorb them. Gating on
-            // `idle == 0` alone would let a single idle worker mask a
-            // whole burst: every enqueue in the burst would see
-            // `idle == 1` and notify the same worker, serializing N jobs
-            // on one thread despite spare pool capacity.
-            if st.spawned < st.size && st.idle < st.normal.len() + st.urgent.len() {
-                st.spawned += 1;
-                true
-            } else {
-                false
-            }
-        };
-        if spawn_worker {
-            let shared = Arc::clone(self);
-            std::thread::Builder::new()
-                .name("occam-pool-worker".into())
-                .spawn(move || worker_loop(shared))
-                .expect("spawn pool worker");
-        }
-        self.cv.notify_one();
-    }
-
-    /// Enqueues a whole batch of jobs under one lock acquisition. The
+    /// Enqueues a batch of jobs under one lock acquisition. The
     /// submission hot path (the gateway reactor decodes every frame a
     /// readability event delivers and admits them together) would
     /// otherwise cross the pool mutex once per task; batching makes the
@@ -126,9 +87,9 @@ impl PoolShared {
         let spawn = {
             let mut st = self.state.lock();
             if st.shutdown {
-                // Same correctness fallback as the single-job path: a
-                // batch enqueued while the last runtime handle drops runs
-                // inline rather than being lost.
+                // Only reachable if jobs are enqueued while the last
+                // runtime handle is dropping; run them inline for
+                // correctness rather than losing them.
                 drop(st);
                 for (_, job) in jobs {
                     job();
@@ -143,7 +104,10 @@ impl PoolShared {
                 }
             }
             // Spawn enough workers to absorb the backlog the idle ones
-            // cannot (the batch analogue of the per-job spawn gate).
+            // cannot. Gating on `idle == 0` alone would let a single idle
+            // worker mask a whole burst: every enqueue in the burst would
+            // see `idle == 1` and notify the same worker, serializing N
+            // jobs on one thread despite spare pool capacity.
             let backlog = st.normal.len() + st.urgent.len();
             let want = backlog
                 .saturating_sub(st.idle)
@@ -317,7 +281,7 @@ impl Runtime {
     {
         let rt = self.clone();
         self.pool_shared()
-            .enqueue(Box::new(move || job(&rt)), urgent);
+            .enqueue_batch(vec![(urgent, Box::new(move || job(&rt)))]);
     }
 
     /// Runs a whole batch of jobs on the worker pool, crossing the pool

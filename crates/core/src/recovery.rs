@@ -160,9 +160,9 @@ fn run_step(
             }
             // One snapshot for the whole re-push: every device's admin
             // state and firmware come from the same committed version.
-            let snap = db.query_snapshot()?;
+            let view = db.query_read_view()?;
             for device in devices {
-                let row = snap.device_attrs(&device).unwrap_or_default();
+                let row = view.device_attrs(&device).unwrap_or_default();
                 let drained = row
                     .get(attrs::DEVICE_STATUS)
                     .and_then(|v| v.as_str())
@@ -213,7 +213,7 @@ mod tests {
     fn rollback_restores_db_and_devices() {
         let rt = tiny_runtime();
         let svc = emu_service(&rt);
-        let before_db = rt.db().snapshot();
+        let before_db = rt.db().read_view();
         svc.library().fail_at("f_optic_test", 0);
         let report = rt.task("upgrade").run(|ctx| {
             let net = ctx.network("dc01.pod00.agg00")?;
@@ -230,7 +230,7 @@ mod tests {
         let steps = execute_rollback(&report, rt.db(), svc).unwrap();
         assert!(steps >= 4);
         // Database restored exactly.
-        assert_eq!(rt.db().snapshot(), before_db);
+        assert_eq!(rt.db().read_view(), before_db);
         // Device undrained and test IP gone.
         let net = svc.net();
         let guard = net.lock();

@@ -50,7 +50,7 @@ fn occ_task_commits_without_locks() {
     assert_eq!(rt.obs().counter("core.occ.commits").get(), 1);
     assert_eq!(rt.obs().counter("core.occ.aborts").get(), 0);
     // The staged batch is published and durable.
-    let snap = rt.db().query_snapshot().unwrap();
+    let snap = rt.db().query_read_view().unwrap();
     let pat = occam_regex::Pattern::from_glob("dc01.pod00.*").unwrap();
     for (_, v) in snap.get_attr(&pat, "X") {
         assert_eq!(v, AttrValue::from(7i64));
@@ -105,7 +105,7 @@ fn occ_conflict_retries_then_falls_back_to_2pl() {
     assert_eq!(rt.obs().counter("core.occ.fallbacks").get(), 1);
     assert_eq!(rt.obs().counter("core.occ.commits").get(), 0);
     // The 2PL attempt's write is published — nothing lost.
-    let snap = rt.db().query_snapshot().unwrap();
+    let snap = rt.db().query_read_view().unwrap();
     let pat = occam_regex::Pattern::from_glob("dc01.pod00.tor00").unwrap();
     assert_eq!(
         snap.get_attr(&pat, "X").get("dc01.pod00.tor00"),

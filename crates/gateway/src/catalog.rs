@@ -296,7 +296,7 @@ mod tests {
         let report = rt.task("planned_update").run(|ctx| prog(ctx));
         assert_eq!(report.state, TaskState::Completed, "{:?}", report.error);
 
-        let snap = db.snapshot();
+        let snap = db.read_view();
         let scope = Pattern::from_glob("dc01.pod0[01].agg*").unwrap();
         let firmwares = snap.get_attr(&scope, attrs::FIRMWARE_VERSION);
         assert_eq!(firmwares.len(), 4);

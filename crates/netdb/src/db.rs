@@ -365,7 +365,7 @@ impl DbObs {
 /// behind a short pointer-swap lock, and `writer` serializes commits.
 /// Readers never take `writer` — they clone the published `Arc` and read
 /// lock-free — so scoped queries proceed concurrently with a committing
-/// writer, and [`Database::snapshot`] is an O(1) `Arc` bump instead of a
+/// writer, and [`Database::read_view`] is an O(1) `Arc` bump instead of a
 /// deep clone.
 #[derive(Debug)]
 pub struct Database {
@@ -472,33 +472,6 @@ impl Database {
         self.state.lock().clone()
     }
 
-    /// Takes a consistent snapshot of the whole store.
-    ///
-    /// O(1): bumps the refcount of the published shard vector — no deep
-    /// clone, no waiting on in-flight commits. The handle stays immutable
-    /// forever; use [`StoreSnapshot::materialize`] to flatten it when a
-    /// legacy [`Store`] is needed. Bypasses the fault injector, so
-    /// invariant checkers can capture state while fault plans are armed.
-    pub fn snapshot(&self) -> StoreSnapshot {
-        let span = Span::start(&self.obs.snapshot_ns);
-        let snap = StoreSnapshot {
-            state: self.current(),
-        };
-        span.finish();
-        snap
-    }
-
-    /// Takes a snapshot *as a query*: counted, timed, and subject to the
-    /// fault injector like every other read. This is what runtime layers
-    /// use so a task's reads keep their failure semantics while becoming
-    /// lock-free and mutually consistent.
-    pub fn query_snapshot(&self) -> DbResult<StoreSnapshot> {
-        let _q = self.query_span();
-        self.guard()?;
-        self.obs.lock_free_reads.inc();
-        Ok(self.snapshot())
-    }
-
     /// Number of committed write batches.
     pub fn commits(&self) -> u64 {
         self.wal.lock().num_commits()
@@ -544,14 +517,6 @@ impl Database {
         self.wal.lock().suffix_after_commits(commits)
     }
 
-    /// A consistent `(snapshot, commit count)` pair, captured under the
-    /// writer lock so the count is exactly the number of commits the
-    /// snapshot contains — the seed of a replica snapshot bootstrap.
-    pub fn snapshot_with_commits(&self) -> (StoreSnapshot, u64) {
-        let _w = self.writer.lock();
-        (self.snapshot(), self.wal.lock().num_commits())
-    }
-
     /// Applies one replicated batch at a forced commit sequence — the
     /// follower half of WAL shipping. Runs the same commit protocol as
     /// [`Database::batch`] (writer lock → copy-on-write apply → WAL append
@@ -578,6 +543,7 @@ impl Database {
             next.apply(r);
         }
         let dirty = next.finalize(&base);
+        debug_assert_eq!(next.commits, seq + 1, "commit counter tracks WAL seq");
         let n = records.len() as u64;
         let span = Span::start(&self.obs.wal_append_ns);
         self.wal.lock().append_batch_at(records.to_vec(), seq)?;
@@ -651,46 +617,48 @@ impl Database {
     // Read queries
     // ------------------------------------------------------------------
 
-    /// Reads route through a lock-free snapshot of the published version:
-    /// shard-routed by the scope's literal prefix, never blocked by (and
-    /// never blocking) a committing writer.
-    fn published(&self) -> StoreSnapshot {
-        self.obs.lock_free_reads.inc();
-        StoreSnapshot {
-            state: self.current(),
-        }
-    }
-
-    /// The unified read accessor: a [`ReadView`] over the currently
-    /// published version, sourced from this database (the leader path).
-    /// Carries the snapshot, its commit count, and its shard-version
-    /// vector, so OCC validation, serializability certification, and
-    /// follower-staleness bounds all share one code path. Bypasses the
-    /// fault injector like [`Database::snapshot`].
+    /// A [`ReadView`] over the currently published version: the one
+    /// consistent read this database hands out (see [`crate::view`] for
+    /// which entry point to call).
+    ///
+    /// O(1): bumps the refcount of the published shard vector — no deep
+    /// clone, no waiting on in-flight commits — and the handle stays
+    /// immutable forever. Bypasses the fault injector, so invariant
+    /// checkers, replication and benches can capture state while fault
+    /// plans are armed.
     pub fn read_view(&self) -> ReadView {
-        ReadView::new(self.snapshot(), ReadSource::Leader)
+        let span = Span::start(&self.obs.snapshot_ns);
+        let state = self.current();
+        span.finish();
+        ReadView::new(StoreSnapshot { state }, ReadSource::Leader)
     }
 
-    /// Takes a [`ReadView`] *as a query*: counted, timed, and subject to
-    /// the fault injector — the accessor runtime layers use so task reads
-    /// keep their failure semantics.
+    /// One task-path read: counted, timed, subject to the fault injector,
+    /// then served lock-free from a [`Database::read_view`] — never
+    /// blocked by (and never blocking) a committing writer.
+    fn query<T>(&self, read: impl FnOnce(ReadView) -> T) -> DbResult<T> {
+        let _q = self.query_span();
+        self.guard()?;
+        self.obs.lock_free_reads.inc();
+        Ok(read(self.read_view()))
+    }
+
+    /// Takes a [`ReadView`] *as a query* — the accessor runtime layers
+    /// use, so a task's reads keep their failure semantics while being
+    /// mutually consistent.
     pub fn query_read_view(&self) -> DbResult<ReadView> {
-        Ok(ReadView::new(self.query_snapshot()?, ReadSource::Leader))
+        self.query(|view| view)
     }
 
     /// Returns the names of devices matching `scope`, sorted.
     pub fn select_devices(&self, scope: &Pattern) -> DbResult<Vec<String>> {
-        let _q = self.query_span();
-        self.guard()?;
-        Ok(self.published().select_devices(scope))
+        self.query(|view| view.select_devices(scope))
     }
 
     /// Returns `device → value` for one attribute across a scope; devices
     /// without the attribute are omitted.
     pub fn get_attr(&self, scope: &Pattern, attr: &str) -> DbResult<BTreeMap<String, AttrValue>> {
-        let _q = self.query_span();
-        self.guard()?;
-        Ok(self.published().get_attr(scope, attr))
+        self.query(|view| view.get_attr(scope, attr))
     }
 
     /// Returns the full attribute map for every device in a scope.
@@ -698,23 +666,17 @@ impl Database {
         &self,
         scope: &Pattern,
     ) -> DbResult<BTreeMap<String, BTreeMap<String, AttrValue>>> {
-        let _q = self.query_span();
-        self.guard()?;
-        Ok(self.published().get_all(scope))
+        self.query(|view| view.get_all(scope))
     }
 
     /// Returns true if a device row exists.
     pub fn device_exists(&self, name: &str) -> DbResult<bool> {
-        let _q = self.query_span();
-        self.guard()?;
-        Ok(self.published().device_exists(name))
+        self.query(|view| view.device_exists(name))
     }
 
     /// Returns the links with at least one endpoint in scope, sorted by key.
     pub fn links_touching(&self, scope: &Pattern) -> DbResult<Vec<LinkKey>> {
-        let _q = self.query_span();
-        self.guard()?;
-        Ok(self.published().links_touching(scope))
+        self.query(|view| view.links_touching(scope))
     }
 
     /// Returns `link → value` for one attribute across links touching a
@@ -724,9 +686,7 @@ impl Database {
         scope: &Pattern,
         attr: &str,
     ) -> DbResult<BTreeMap<LinkKey, AttrValue>> {
-        let _q = self.query_span();
-        self.guard()?;
-        Ok(self.published().get_link_attr(scope, attr))
+        self.query(|view| view.get_link_attr(scope, attr))
     }
 
     // ------------------------------------------------------------------
@@ -1222,7 +1182,7 @@ mod tests {
     #[test]
     fn batch_is_all_or_nothing() {
         let db = seeded();
-        let before = db.snapshot();
+        let before = db.read_view();
         let err = db
             .batch(&[
                 WriteOp::SetDeviceAttr {
@@ -1236,7 +1196,7 @@ mod tests {
             ])
             .unwrap_err();
         assert!(matches!(err, DbError::NoSuchDevice(_)));
-        assert_eq!(db.snapshot(), before);
+        assert_eq!(db.read_view(), before);
     }
 
     #[test]
@@ -1246,7 +1206,7 @@ mod tests {
             .unwrap();
         db.delete_device("dc01.pod02.sw03").unwrap();
         let replayed = Store::replay(&db.wal_records());
-        assert_eq!(replayed, db.snapshot());
+        assert_eq!(replayed, *db.read_view());
     }
 
     #[test]
@@ -1263,7 +1223,7 @@ mod tests {
     #[test]
     fn snapshot_diff_captures_changes() {
         let db = seeded();
-        let before = db.snapshot();
+        let before = db.read_view();
         db.set_attr(
             &pat("dc01.pod00.sw00"),
             attrs::DEVICE_STATUS,
@@ -1271,7 +1231,7 @@ mod tests {
         )
         .unwrap();
         db.insert_device("dc01.pod00.sw99", vec![]).unwrap();
-        let after = db.snapshot();
+        let after = db.read_view();
         let (before, after) = (before.materialize(), after.materialize());
         let d = diff(&before, &after);
         assert!(d.contains(&DiffEntry::DeviceAdded("dc01.pod00.sw99".into())));
@@ -1309,7 +1269,7 @@ mod tests {
             h.join().unwrap();
         }
         // WAL replay must agree with the final state even under concurrency.
-        assert_eq!(Store::replay(&db.wal_records()), db.snapshot());
+        assert_eq!(Store::replay(&db.wal_records()), *db.read_view());
     }
 
     /// Regression test for the OCC ordering fix: the shard-version bump
@@ -1331,9 +1291,9 @@ mod tests {
         let observer = {
             let (db, stop) = (Arc::clone(&db), Arc::clone(&stop));
             std::thread::spawn(move || {
-                let mut last = db.snapshot();
+                let mut last = db.read_view();
                 while !stop.load(Ordering::Relaxed) {
-                    let cur = db.snapshot();
+                    let cur = db.read_view();
                     assert!(cur.commits() >= last.commits(), "commit count regressed");
                     for (c, l) in cur.shard_versions().iter().zip(last.shard_versions()) {
                         assert!(c >= l, "shard version regressed across publications");
@@ -1361,9 +1321,9 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         observer.join().unwrap();
-        let live = db.snapshot();
+        let live = db.read_view();
         let replayed = crate::shard::StoreSnapshot::replay(&db.wal_records());
-        assert_eq!(replayed, live);
+        assert_eq!(replayed, *live);
         assert_eq!(replayed.commits(), live.commits());
         assert_eq!(replayed.shard_versions(), live.shard_versions());
     }

@@ -427,7 +427,7 @@ mod tests {
         let scope = Pattern::universe();
         let want = active_everywhere();
 
-        let snap = db.snapshot();
+        let snap = db.read_view();
         let first = db.views().refresh(&snap, &scope, &want);
         assert!(first.same_result(&compliance_cold(&snap, &scope, &want)));
         assert!(first.compliant());
@@ -435,7 +435,7 @@ mod tests {
         assert_eq!(first.reused_shards, 0);
 
         // Untouched store: every routed shard is reused.
-        let again = db.views().refresh(&db.snapshot(), &scope, &want);
+        let again = db.views().refresh(&db.read_view(), &scope, &want);
         assert!(again.same_result(&first));
         assert_eq!(again.recomputed_shards, 0);
 
@@ -447,7 +447,7 @@ mod tests {
             attrs::DEVICE_STATUS,
             attrs::STATUS_DRAINED,
         );
-        let snap = db.snapshot();
+        let snap = db.read_view();
         let after = db.views().refresh(&snap, &scope, &want);
         assert!(after.same_result(&compliance_cold(&snap, &scope, &want)));
         assert_eq!(after.recomputed_shards, 1);
@@ -464,7 +464,7 @@ mod tests {
         let db = seeded();
         let scope = Pattern::from_glob("dc01.pod01.*").unwrap();
         let want = active_everywhere();
-        let report = db.views().refresh(&db.snapshot(), &scope, &want);
+        let report = db.views().refresh(&db.read_view(), &scope, &want);
         assert_eq!(report.devices, 8);
         // The pinned shard plus the catch-all.
         assert_eq!(report.recomputed_shards + report.reused_shards, 2);
@@ -474,9 +474,9 @@ mod tests {
     fn missing_attribute_is_non_compliant() {
         let db = Database::new();
         db.insert_device("dc01.pod00.sw00", vec![]).unwrap();
-        let report = db
-            .views()
-            .refresh(&db.snapshot(), &Pattern::universe(), &active_everywhere());
+        let report =
+            db.views()
+                .refresh(&db.read_view(), &Pattern::universe(), &active_everywhere());
         assert_eq!(report.non_compliant.len(), 1);
         assert_eq!(report.non_compliant[0].actual, None);
     }
@@ -484,14 +484,14 @@ mod tests {
     #[test]
     fn snapshot_delta_skips_clean_shards_and_records() {
         let db = seeded();
-        let before = db.snapshot();
+        let before = db.read_view();
         set(&db, "dc01.pod03.sw07", "SNMP_COMMUNITY", "v2");
         db.insert_device("dc01.pod03.sw99", vec![]).unwrap();
         db.batch(&[WriteOp::DeleteDevice {
             name: "dc01.pod03.sw00".into(),
         }])
         .unwrap();
-        let after = db.snapshot();
+        let after = db.read_view();
 
         let delta = snapshot_delta(&before, &after);
         assert_eq!(
@@ -514,7 +514,7 @@ mod tests {
         let want = active_everywhere();
         for i in 0..(MAX_CACHED_VIEWS + 8) {
             let scope = Pattern::from_glob(&format!("dc01.pod00.sw{i:02}*")).unwrap();
-            db.views().refresh(&db.snapshot(), &scope, &want);
+            db.views().refresh(&db.read_view(), &scope, &want);
         }
         assert!(db.views().views.lock().len() <= MAX_CACHED_VIEWS);
     }

@@ -168,25 +168,25 @@ mod tests {
     #[test]
     fn staged_writes_are_invisible_until_published() {
         let db = seeded();
-        let mut staged = StagedStore::new(db.snapshot());
+        let mut staged = StagedStore::new(db.read_view().into_snapshot());
         staged.apply(&[set("dc01.pod00.sw00", "X", 7)]).unwrap();
         // Read-your-writes through the overlay, invisible outside.
         let pat = Pattern::from_glob("dc01.pod00.sw00").unwrap();
         assert_eq!(staged.overlay().get_attr(&pat, "X").len(), 1);
-        assert!(db.snapshot().get_attr(&pat, "X").is_empty());
+        assert!(db.read_view().get_attr(&pat, "X").is_empty());
         let out = db.occ_publish(&staged, &BTreeSet::new()).unwrap();
         assert!(matches!(out, OccOutcome::Committed { .. }));
-        assert_eq!(db.snapshot().get_attr(&pat, "X").len(), 1);
+        assert_eq!(db.read_view().get_attr(&pat, "X").len(), 1);
         // WAL replay agrees with the published state, versions included.
         let replayed = StoreSnapshot::replay(&db.wal_records());
-        assert_eq!(replayed, db.snapshot());
-        assert_eq!(replayed.shard_versions(), db.snapshot().shard_versions());
+        assert_eq!(replayed, *db.read_view());
+        assert_eq!(replayed.shard_versions(), db.read_view().shard_versions());
     }
 
     #[test]
     fn conflicting_commit_fails_validation() {
         let db = seeded();
-        let mut staged = StagedStore::new(db.snapshot());
+        let mut staged = StagedStore::new(db.read_view().into_snapshot());
         staged.apply(&[set("dc01.pod00.sw00", "X", 1)]).unwrap();
         // Interleaved commit to the same shard.
         db.set_attr(
@@ -204,7 +204,7 @@ mod tests {
         );
         // Nothing published.
         assert!(db
-            .snapshot()
+            .read_view()
             .get_attr(&Pattern::from_glob("dc01.pod00.sw00").unwrap(), "X")
             .is_empty());
     }
@@ -212,8 +212,7 @@ mod tests {
     #[test]
     fn read_set_is_validated_even_without_writes_to_it() {
         let db = seeded();
-        let snap = db.snapshot();
-        let mut staged = StagedStore::new(snap);
+        let mut staged = StagedStore::new(db.read_view().into_snapshot());
         staged.apply(&[set("dc01.pod00.sw00", "X", 1)]).unwrap();
         // The task read pod01 (a different shard) — a commit there must
         // invalidate it even though the write set is untouched.
@@ -232,7 +231,7 @@ mod tests {
     #[test]
     fn empty_staged_store_serializes_at_base_count() {
         let db = seeded();
-        let staged = StagedStore::new(db.snapshot());
+        let staged = StagedStore::new(db.read_view().into_snapshot());
         let base_commits = db.commits();
         // Later commits never conflict with a read-only task: its whole
         // execution is the base snapshot, so it serializes there.
@@ -254,7 +253,7 @@ mod tests {
     #[test]
     fn staged_batches_validate_like_database_batches() {
         let db = seeded();
-        let mut staged = StagedStore::new(db.snapshot());
+        let mut staged = StagedStore::new(db.read_view().into_snapshot());
         // Batch referencing a missing device fails atomically.
         let err = staged
             .apply(&[set("dc01.pod00.sw00", "X", 1), set("missing", "X", 1)])
@@ -264,7 +263,7 @@ mod tests {
         // Delete cascade dirties neighbor shards too.
         db.insert_link("dc01.pod00.sw00", "dc01.pod01.sw00", vec![])
             .unwrap();
-        let mut staged = StagedStore::new(db.snapshot());
+        let mut staged = StagedStore::new(db.read_view().into_snapshot());
         staged
             .apply(&[WriteOp::DeleteDevice {
                 name: "dc01.pod00.sw00".into(),

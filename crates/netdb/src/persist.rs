@@ -276,7 +276,7 @@ mod tests {
         let db = exercised_db();
         let text = db.dump_wal();
         let recovered = Database::recover(&text).unwrap();
-        assert_eq!(recovered.snapshot(), db.snapshot());
+        assert_eq!(recovered.read_view(), db.read_view());
         assert_eq!(recovered.commits(), db.commits());
         // The recovered database keeps working and logging.
         recovered.insert_device("dc02.pod00.sw00", vec![]).unwrap();

@@ -96,11 +96,6 @@ impl Follower {
         self.leader_commits().saturating_sub(self.commits())
     }
 
-    /// A consistent snapshot of the follower's current state.
-    pub fn snapshot(&self) -> StoreSnapshot {
-        self.db().snapshot()
-    }
-
     /// Applies one shipment. Entries are split at their commit markers
     /// and each batch runs the full commit protocol at the leader's
     /// sequence number; batches at or below the follower's confirmed
@@ -234,7 +229,7 @@ mod tests {
         // Re-shipping the same suffix is idempotent.
         f.ingest(entries(&leader)).unwrap();
         assert_eq!(f.commits(), 2);
-        assert_eq!(f.snapshot(), leader.snapshot());
+        assert_eq!(f.db().read_view(), leader.read_view());
     }
 
     #[test]
@@ -261,17 +256,17 @@ mod tests {
         for i in 0..4 {
             leader.insert_device(&format!("d{i}"), vec![]).unwrap();
         }
-        let (snap, commits) = leader.snapshot_with_commits();
+        let view = leader.read_view();
         let f = Follower::new(0, &Registry::new());
         f.ingest(Shipment::Snapshot {
-            snap,
-            base_commits: commits,
+            base_commits: view.commits(),
+            snap: view.into_snapshot(),
             shipped_at: Instant::now(),
         })
         .unwrap();
         assert_eq!(f.commits(), 4);
         assert_eq!(f.db().wal_base_commits(), 4);
-        assert_eq!(f.snapshot(), leader.snapshot());
+        assert_eq!(f.db().read_view(), leader.read_view());
         // The entry stream continues past the snapshot.
         leader.insert_device("d9", vec![]).unwrap();
         let (first_seq, records) = leader.wal_suffix_after_commits(f.commits()).unwrap();
@@ -281,7 +276,68 @@ mod tests {
             shipped_at: Instant::now(),
         })
         .unwrap();
-        assert_eq!(f.snapshot(), leader.snapshot());
+        assert_eq!(f.db().read_view(), leader.read_view());
+    }
+
+    /// The bootstrap view is taken with no writer lock held, so commits
+    /// land on both sides of the capture: the view's own commit position
+    /// is where the follower rejoins the entry stream.
+    #[test]
+    fn snapshot_bootstrap_during_commits_rejoins_stream() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+
+        fn ship_suffix(leader: &Database, f: &Follower) {
+            let (first_seq, records) = leader.wal_suffix_after_commits(f.commits()).unwrap();
+            f.ingest(Shipment::Entries {
+                first_seq,
+                records,
+                shipped_at: Instant::now(),
+            })
+            .unwrap();
+        }
+
+        let leader = Database::new();
+        let stop = AtomicBool::new(false);
+        let mut bootstrapped: Vec<(Follower, u64)> = Vec::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut i = 0;
+                while !stop.load(Ordering::Acquire) {
+                    leader
+                        .insert_device(&format!("dc01.pod{:02}.sw{i:05}", i % 8), vec![])
+                        .unwrap();
+                    i += 1;
+                }
+            });
+            for id in 0..32 {
+                // Every bootstrap sees a later stretch of the history.
+                leader.wait_commits(leader.commits() + 1, Duration::from_secs(10));
+                let view = leader.read_view();
+                let base = view.commits();
+                let f = Follower::new(id, &Registry::new());
+                f.ingest(Shipment::Snapshot {
+                    base_commits: base,
+                    snap: view.into_snapshot(),
+                    shipped_at: Instant::now(),
+                })
+                .unwrap();
+                assert_eq!(f.db().wal_base_commits(), base);
+                ship_suffix(&leader, &f);
+                bootstrapped.push((f, base));
+            }
+            stop.store(true, Ordering::Release);
+        });
+        for (f, base) in &bootstrapped {
+            ship_suffix(&leader, f);
+            let (mine, theirs) = (f.db().read_view(), leader.read_view());
+            crate::replica::check_identical(&mine, &theirs).unwrap();
+            assert_eq!(mine.commits(), theirs.commits());
+            assert_eq!(mine.shard_versions(), theirs.shard_versions());
+            // The follower's log is exactly the leader's past the base.
+            let (_, suffix) = leader.wal_suffix_after_commits(*base).unwrap();
+            assert_eq!(f.db().wal_records(), suffix);
+        }
     }
 
     #[test]

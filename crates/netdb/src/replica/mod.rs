@@ -40,9 +40,10 @@
 //!
 //! # Reads
 //!
-//! [`ReadRouter`] serves consistent snapshots from any follower within a
-//! staleness bound (`max_lag` commits), falling back to the leader. The
-//! observed lag of every routed read lands in `netdb.repl.read_lag_commits`.
+//! [`ReadRouter::read_view`] serves a consistent [`crate::ReadView`] from
+//! any follower within a staleness bound (`max_lag` commits), falling
+//! back to the leader. The observed lag of every routed read lands in
+//! `netdb.repl.read_lag_commits`.
 //!
 //! # Example
 //!
@@ -57,7 +58,7 @@
 //! set.leader().wait_acked(1, Duration::from_secs(5));
 //! assert!(set.wait_converged(Duration::from_secs(5)));
 //! for f in set.followers() {
-//!     assert_eq!(f.snapshot(), set.leader_db().snapshot());
+//!     assert_eq!(f.db().read_view(), set.leader_db().read_view());
 //! }
 //! set.shutdown();
 //! ```
@@ -181,37 +182,44 @@ pub struct ReplicaSet {
     obs: ReplObs,
 }
 
-/// Ships the WAL suffix past `follower`'s confirmed commits (or a
-/// snapshot when the leader no longer holds that history), then records
-/// the follower's resulting confirmation in the leader's ack table.
-fn ship_to(leader: &Leader, follower: &Follower, obs: &ReplObs) {
-    let confirmed = follower.commits();
+/// Ships one round from `db` to `follower`: the WAL suffix past the
+/// follower's confirmed commits, a snapshot bootstrap when `db` no longer
+/// holds that history, or a heartbeat when there is nothing new.
+fn ship_round(db: &Database, follower: &Follower, obs: &ReplObs) {
     let shipped_at = Instant::now();
-    match leader.db().wal_suffix_after_commits(confirmed) {
+    let shipment = match db.wal_suffix_after_commits(follower.commits()) {
         None => {
-            let (snap, base_commits) = leader.db().snapshot_with_commits();
+            // Captured without the writer lock: the view carries its own
+            // commit position, and a commit appended but not yet published
+            // is simply the first entry shipped after the bootstrap.
+            let view = db.read_view();
             obs.ship_snapshots.inc();
-            let _ = follower.ingest(Shipment::Snapshot {
-                snap,
-                base_commits,
+            Shipment::Snapshot {
+                base_commits: view.commits(),
+                snap: view.into_snapshot(),
                 shipped_at,
-            });
+            }
         }
         Some((first_seq, records)) if !records.is_empty() => {
             obs.ship_batches.inc();
             obs.ship_records.add(records.len() as u64);
-            let _ = follower.ingest(Shipment::Entries {
+            Shipment::Entries {
                 first_seq,
                 records,
                 shipped_at,
-            });
+            }
         }
-        Some(_) => {
-            let _ = follower.ingest(Shipment::Heartbeat {
-                commits: leader.db().commits(),
-            });
-        }
-    }
+        Some(_) => Shipment::Heartbeat {
+            commits: db.commits(),
+        },
+    };
+    let _ = follower.ingest(shipment);
+}
+
+/// Ships one round to `follower`, then records its resulting
+/// confirmation in the leader's ack table.
+fn ship_to(leader: &Leader, follower: &Follower, obs: &ReplObs) {
+    ship_round(leader.db(), follower, obs);
     leader.record_ack(follower.id(), follower.commits());
     obs.acks.inc();
 }
@@ -331,18 +339,20 @@ impl ReplicaSet {
         ))
     }
 
-    /// Blocks until every non-partitioned follower has confirmed every
-    /// leader commit, or `timeout` elapses. Returns whether convergence
-    /// was reached.
+    /// Blocks until every non-partitioned follower has *published* every
+    /// commit the leader has published, or `timeout` elapses. Returns
+    /// whether convergence was reached.
+    ///
+    /// Positions come from read views, not WAL counts: a replica appends
+    /// to its WAL just before it publishes the state, so a WAL count can
+    /// run one commit ahead of what a read on that replica would see.
     pub fn wait_converged(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            let target = self.leader.db().commits();
-            let behind = self
-                .followers
-                .iter()
-                .zip(&self.links)
-                .any(|(f, l)| !l.partitioned.load(Ordering::Acquire) && f.commits() < target);
+            let target = self.leader.db().read_view().commits();
+            let behind = self.followers.iter().zip(&self.links).any(|(f, l)| {
+                !l.partitioned.load(Ordering::Acquire) && f.db().read_view().commits() < target
+            });
             if !behind {
                 return true;
             }
@@ -400,28 +410,7 @@ impl ReplicaSet {
                 continue;
             }
             while f.commits() < new_leader_db.commits() {
-                let confirmed = f.commits();
-                let shipped_at = Instant::now();
-                match new_leader_db.wal_suffix_after_commits(confirmed) {
-                    None => {
-                        let (snap, base_commits) = new_leader_db.snapshot_with_commits();
-                        self.obs.ship_snapshots.inc();
-                        let _ = f.ingest(Shipment::Snapshot {
-                            snap,
-                            base_commits,
-                            shipped_at,
-                        });
-                    }
-                    Some((first_seq, records)) => {
-                        self.obs.ship_batches.inc();
-                        self.obs.ship_records.add(records.len() as u64);
-                        let _ = f.ingest(Shipment::Entries {
-                            first_seq,
-                            records,
-                            shipped_at,
-                        });
-                    }
-                }
+                ship_round(&new_leader_db, f, &self.obs);
             }
             caught_up += 1;
         }
@@ -501,7 +490,7 @@ mod tests {
         write_n(&leader, 10, "lf");
         assert!(set.wait_converged(Duration::from_secs(10)));
         for f in set.followers() {
-            check_identical(&f.snapshot(), &leader.snapshot()).unwrap();
+            check_identical(&f.db().read_view(), &leader.read_view()).unwrap();
             assert_eq!(f.db().dump_wal(), leader.dump_wal());
         }
         set.shutdown();
@@ -520,7 +509,42 @@ mod tests {
         assert!(set.followers()[0].commits() < leader.commits());
         set.set_partitioned(0, false);
         assert!(set.wait_converged(Duration::from_secs(10)));
-        check_identical(&set.followers()[0].snapshot(), &leader.snapshot()).unwrap();
+        check_identical(&set.followers()[0].db().read_view(), &leader.read_view()).unwrap();
+        set.shutdown();
+    }
+
+    /// Regression: convergence is judged on published positions. A
+    /// replica appends to its WAL just before it publishes, so judging
+    /// by WAL counts let `wait_converged` return while a follower's view
+    /// still trailed a leader view the caller had already seen.
+    #[test]
+    fn wait_converged_covers_what_follower_views_show() {
+        let leader = Arc::new(Database::new());
+        leader.insert_device("dc01.pod00.sw00", vec![]).unwrap();
+        let scope = occam_regex::Pattern::from_glob("dc01.pod00.sw00").unwrap();
+        let set = ReplicaSet::start(Arc::clone(&leader), ReplicaConfig::default());
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut i = 0;
+                while !stop.load(Ordering::Acquire) {
+                    leader.set_attr(&scope, "N", AttrValue::Int(i)).unwrap();
+                    i += 1;
+                    // Paced, so the followers can catch the leader at all.
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            });
+            for _ in 0..3000 {
+                // Sample while a fresh commit is still being shipped.
+                leader.wait_commits(leader.commits() + 1, Duration::from_secs(10));
+                let seen = leader.read_view().commits();
+                assert!(set.wait_converged(Duration::from_secs(10)));
+                for f in set.followers() {
+                    assert!(f.db().read_view().commits() >= seen);
+                }
+            }
+            stop.store(true, Ordering::Release);
+        });
         set.shutdown();
     }
 
@@ -552,7 +576,7 @@ mod tests {
         let new_leader = set.leader_db();
         assert!(set.wait_converged(Duration::from_secs(10)));
         for f in set.followers() {
-            check_identical(&f.snapshot(), &new_leader.snapshot()).unwrap();
+            check_identical(&f.db().read_view(), &new_leader.read_view()).unwrap();
         }
         // The promoted leader accepts new writes and replicates them.
         new_leader

@@ -1,15 +1,14 @@
-//! Scoped-read routing: serve consistent snapshots from any caught-up
+//! Scoped-read routing: serve consistent read views from any caught-up
 //! follower, falling back to the leader when every follower is stale.
 
 use super::{Follower, ReplObs};
 use crate::db::Database;
 use crate::error::DbResult;
-use crate::shard::StoreSnapshot;
 use crate::view::ReadView;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Routes snapshot reads across a replica set.
+/// Routes consistent reads across a replica set.
 ///
 /// Every read picks the next follower round-robin; a follower serves the
 /// read iff its lag (leader commits minus follower commits, measured at
@@ -49,9 +48,11 @@ impl ReadRouter {
         self.max_lag
     }
 
-    /// Serves one consistent snapshot read, preferring a caught-up
-    /// follower; returns where it was served from alongside the snapshot.
-    pub fn snapshot_from(&self) -> DbResult<(StoreSnapshot, ReadSource)> {
+    /// Serves one consistent read as a [`ReadView`], preferring a
+    /// caught-up follower; [`ReadView::source`] says where it was served
+    /// from. Counted, timed and fault-checked by the serving database
+    /// like [`Database::query_read_view`].
+    pub fn read_view(&self) -> DbResult<ReadView> {
         let leader_commits = self.leader.commits();
         let n = self.followers.len();
         if n > 0 {
@@ -62,27 +63,17 @@ impl ReadRouter {
                 if lag <= self.max_lag {
                     self.obs.reads_follower.inc();
                     self.obs.read_lag_commits.record(lag);
-                    let snap = f.db().query_snapshot()?;
-                    return Ok((snap, ReadSource::Follower(f.id())));
+                    let view = f.db().query_read_view()?;
+                    return Ok(ReadView::new(
+                        view.into_snapshot(),
+                        ReadSource::Follower(f.id()),
+                    ));
                 }
             }
             self.obs.reads_stale.inc();
         }
         self.obs.reads_leader.inc();
-        Ok((self.leader.query_snapshot()?, ReadSource::Leader))
-    }
-
-    /// Serves one consistent snapshot read (see [`ReadRouter::snapshot_from`]).
-    pub fn snapshot(&self) -> DbResult<StoreSnapshot> {
-        Ok(self.snapshot_from()?.0)
-    }
-
-    /// Serves one routed read as a unified [`ReadView`]: the follower (or
-    /// leader-fallback) snapshot together with where it was served from,
-    /// so callers share one accessor with the un-replicated leader path.
-    pub fn read_view(&self) -> DbResult<ReadView> {
-        let (snap, source) = self.snapshot_from()?;
-        Ok(ReadView::new(snap, source))
+        self.leader.query_read_view()
     }
 }
 
@@ -125,8 +116,8 @@ mod tests {
         ];
         let obs = ReplObs::bound(&reg);
         let router = ReadRouter::new(Arc::clone(&leader), followers, 0, obs);
-        let (_, s0) = router.snapshot_from().unwrap();
-        let (_, s1) = router.snapshot_from().unwrap();
+        let s0 = router.read_view().unwrap().source();
+        let s1 = router.read_view().unwrap().source();
         assert_ne!(s0, s1, "round-robin should alternate followers");
         assert!(matches!(s0, ReadSource::Follower(_)));
         assert_eq!(reg.counter_value("netdb.repl.reads.follower"), 2);
@@ -142,9 +133,9 @@ mod tests {
         leader.insert_device("d1", vec![]).unwrap();
         let obs = ReplObs::bound(&reg);
         let router = ReadRouter::new(Arc::clone(&leader), followers, 0, obs);
-        let (snap, src) = router.snapshot_from().unwrap();
-        assert_eq!(src, ReadSource::Leader);
-        assert_eq!(snap, leader.snapshot());
+        let view = router.read_view().unwrap();
+        assert_eq!(view.source(), ReadSource::Leader);
+        assert_eq!(view, leader.read_view());
         assert_eq!(reg.counter_value("netdb.repl.reads.stale_fallback"), 1);
         assert_eq!(reg.counter_value("netdb.repl.reads.leader"), 1);
     }
@@ -158,9 +149,9 @@ mod tests {
         leader.insert_device("d1", vec![]).unwrap();
         let obs = ReplObs::bound(&reg);
         let router = ReadRouter::new(Arc::clone(&leader), followers, 8, obs);
-        let (snap, src) = router.snapshot_from().unwrap();
-        assert!(matches!(src, ReadSource::Follower(0)));
-        // The served snapshot is consistent but one commit behind.
-        assert!(!snap.device_exists("d1"));
+        let view = router.read_view().unwrap();
+        assert_eq!(view.source(), ReadSource::Follower(0));
+        // The served view is consistent but one commit behind.
+        assert!(!view.device_exists("d1"));
     }
 }

@@ -240,10 +240,10 @@ impl TcpShipper {
     pub fn ship_round(&mut self, db: &Database) -> io::Result<u64> {
         let msg = match db.wal_suffix_after_commits(self.confirmed) {
             None => {
-                let (snap, base_commits) = db.snapshot_with_commits();
+                let view = db.read_view();
                 ReplMsg::Snapshot {
-                    base_commits,
-                    records: synthesize_snapshot_records(&snap),
+                    base_commits: view.commits(),
+                    records: synthesize_snapshot_records(&view),
                 }
             }
             Some((first_seq, records)) if !records.is_empty() => {
@@ -297,12 +297,12 @@ mod tests {
         let mut shipper = TcpShipper::connect(&server.local_addr()).unwrap();
         assert_eq!(shipper.follower(), 7);
         assert_eq!(shipper.sync_to(&leader).unwrap(), 12);
-        assert_eq!(follower.snapshot(), leader.snapshot());
+        assert_eq!(follower.db().read_view(), leader.read_view());
         assert_eq!(follower.db().dump_wal(), leader.dump_wal());
         // Incremental rounds after more writes ship only the suffix.
         leader.insert_device("dc01.pod00.sw99", vec![]).unwrap();
         assert_eq!(shipper.sync_to(&leader).unwrap(), 13);
-        assert_eq!(follower.snapshot(), leader.snapshot());
+        assert_eq!(follower.db().read_view(), leader.read_view());
         server.shutdown();
     }
 
@@ -320,17 +320,17 @@ mod tests {
         origin
             .insert_link("dc01.pod01.sw00", "dc01.pod01.sw01", vec![])
             .unwrap();
-        let (snap, commits) = origin.snapshot_with_commits();
+        let origin = origin.read_view();
         let leader = Database::new();
-        leader.install_snapshot(&snap, commits);
+        leader.install_snapshot(&origin, origin.commits());
         leader.insert_device("dc01.pod01.sw90", vec![]).unwrap();
 
         let follower = Arc::new(Follower::new(1, &Registry::new()));
         let server = FollowerServer::start(Arc::clone(&follower), "127.0.0.1:0").unwrap();
         let mut shipper = TcpShipper::connect(&server.local_addr()).unwrap();
         assert_eq!(shipper.sync_to(&leader).unwrap(), 8);
-        assert_eq!(follower.snapshot(), leader.snapshot());
-        follower.snapshot().self_check().unwrap();
+        assert_eq!(follower.db().read_view(), leader.read_view());
+        follower.db().read_view().self_check().unwrap();
         server.shutdown();
     }
 }

@@ -1,7 +1,7 @@
 //! Sharded, versioned storage for the network database.
 //!
 //! The monolithic `RwLock<Store>` the database started with made every
-//! query contend on one lock and made `snapshot()` deep-clone the whole
+//! query contend on one lock and made a consistent read deep-clone the whole
 //! network — untenable at the paper's production simulation scale (16 DCs
 //! × 96 pods × 92 switches ≈ 141k devices). This module replaces it with
 //! a **sharded copy-on-write** layout:
@@ -338,7 +338,8 @@ pub(crate) fn prefixed<'a>(
 
 /// An immutable, consistent point-in-time view of the whole store.
 ///
-/// Cheap to take (`Database::snapshot` bumps one `Arc`) and cheap to
+/// This is what a [`ReadView`](crate::ReadView) holds and dereferences
+/// to. Cheap to take (a database read bumps one `Arc`) and cheap to
 /// clone; all reads are lock-free and observe exactly one committed
 /// version. The read API mirrors the `Database` query surface;
 /// [`StoreSnapshot::materialize`] is the escape hatch to a flat

@@ -1,14 +1,27 @@
-//! The unified read accessor.
+//! The one consistent read of a [`Database`](crate::Database).
 //!
-//! Before this module, consistent reads reached the store through three
-//! ad-hoc doors: `Database::snapshot()` (leader, fault-bypassing),
-//! `Database::query_snapshot()` (leader, fault-checked), and
-//! `ReadRouter::snapshot_from()` (follower-routed with a staleness
-//! bound). A [`ReadView`] collapses them: one handle carrying the
-//! snapshot, its commit count, its per-shard version vector, and where
+//! A [`ReadView`] is a handle on one published version of the store that
+//! also knows its commit count, its per-shard version vector, and where
 //! it was served from — so OCC validation, serializability
 //! certification, and follower-staleness accounting all consume the same
-//! thing.
+//! thing. Every consistent read is a `ReadView`; three entry points
+//! return one:
+//!
+//! - [`Database::read_view`](crate::Database::read_view) — infallible,
+//!   bypasses the fault injector. For code that observes the system
+//!   rather than acting in it: invariant checkers, replication, benches.
+//! - [`Database::query_read_view`](crate::Database::query_read_view) —
+//!   the same handle taken *as a query*: counted under `netdb.queries`
+//!   and `netdb.shard.read_lock_free`, timed, and subject to the fault
+//!   injector. For a task's reads. The two stay separate because a
+//!   checker that paused the injector instead would shift the fault
+//!   sequence that chaos determinism is byte-compared on.
+//! - [`ReadRouter::read_view`](crate::ReadRouter::read_view) — a query
+//!   served by a follower within the staleness bound (or the leader),
+//!   tagged with its [`ReadSource`].
+//!
+//! The per-query reads on `Database` (`select_devices`, `get_attr`, …)
+//! are each one `query_read_view` read with one lookup.
 
 use crate::replica::router::ReadSource;
 use crate::shard::StoreSnapshot;
@@ -63,6 +76,14 @@ impl ReadView {
     /// [`StoreSnapshot::shard_versions`]).
     pub fn shard_versions(&self) -> &[u64] {
         self.snapshot.shard_versions()
+    }
+}
+
+/// Views are equal when they hold the same store contents, wherever and
+/// whenever they were served (the [`StoreSnapshot`] equality).
+impl PartialEq for ReadView {
+    fn eq(&self, other: &ReadView) -> bool {
+        self.snapshot == other.snapshot
     }
 }
 

@@ -89,7 +89,7 @@ proptest! {
         for batch in batches {
             // Failures are fine; the view must track whatever committed.
             let _ = db.batch(&batch);
-            let snap = db.snapshot();
+            let snap = db.read_view();
             for (scope, assertions) in &views {
                 let warm = db.views().refresh(&snap, scope, assertions);
                 let cold = compliance_cold(&snap, scope, assertions);
@@ -114,7 +114,7 @@ proptest! {
         for op in setup {
             let _ = db.batch(std::slice::from_ref(&op));
         }
-        let snap = db.snapshot();
+        let snap = db.read_view();
         let (scope, assertions) = &views()[0];
         let first = db.views().refresh(&snap, scope, assertions);
         let second = db.views().refresh(&snap, scope, assertions);

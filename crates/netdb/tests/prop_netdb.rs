@@ -50,7 +50,7 @@ proptest! {
             // Failures are fine; they must not commit partial state.
             let _ = db.batch(std::slice::from_ref(&op));
         }
-        prop_assert_eq!(Store::replay(&db.wal_records()), db.snapshot());
+        prop_assert_eq!(Store::replay(&db.wal_records()), *db.read_view());
     }
 
     /// A failed batch leaves the store byte-identical.
@@ -63,10 +63,10 @@ proptest! {
         for op in setup {
             let _ = db.batch(std::slice::from_ref(&op));
         }
-        let before = db.snapshot();
+        let before = db.read_view();
         let commits = db.commits();
         if db.batch(&batch).is_err() {
-            prop_assert_eq!(db.snapshot(), before);
+            prop_assert_eq!(db.read_view(), before);
             prop_assert_eq!(db.commits(), commits);
         }
     }
@@ -80,7 +80,7 @@ proptest! {
             for op in ops {
                 let _ = db.batch(std::slice::from_ref(op));
             }
-            db.snapshot().materialize()
+            db.read_view().materialize()
         };
         let a = mk(&ops_a);
         let b = mk(&ops_b);
@@ -100,7 +100,7 @@ proptest! {
         let text = encode_wal(&records);
         prop_assert_eq!(decode_wal(&text).unwrap(), records);
         let recovered = Database::recover(&text).unwrap();
-        prop_assert_eq!(recovered.snapshot(), db.snapshot());
+        prop_assert_eq!(recovered.read_view(), db.read_view());
         prop_assert_eq!(recovered.commits(), db.commits());
         // A second dump of the recovered database is byte-identical.
         prop_assert_eq!(recovered.dump_wal(), text);
@@ -117,9 +117,9 @@ proptest! {
             db.insert_device(d, vec![]).unwrap();
         }
         let scope = Pattern::from_glob(&format!("dc{dc:02}.*")).unwrap();
-        let before = db.snapshot().materialize();
+        let before = db.read_view().materialize();
         let written = db.set_attr(&scope, "MARK", 1i64.into()).unwrap();
-        let after = db.snapshot().materialize();
+        let after = db.read_view().materialize();
         for d in &devices {
             let changed = before.devices[d] != after.devices[d];
             prop_assert_eq!(changed, scope.matches(d));

@@ -95,7 +95,7 @@ proptest! {
             prop_assert!(snap.self_check().is_ok(), "prefix {k} broke invariants");
         }
         let full = occam_netdb::StoreSnapshot::replay(&records);
-        prop_assert_eq!(full, leader.snapshot());
+        prop_assert_eq!(full, *leader.read_view());
     }
 
     /// Incremental shipping after every single leader commit keeps the
@@ -113,7 +113,7 @@ proptest! {
         // A gratuitous re-ship changes nothing.
         ship_full_log(&leader, &f);
         prop_assert_eq!(f.commits(), leader.commits());
-        prop_assert!(check_identical(&f.snapshot(), &leader.snapshot()).is_ok());
+        prop_assert!(check_identical(&f.db().read_view(), &leader.read_view()).is_ok());
         prop_assert_eq!(f.db().dump_wal(), leader.dump_wal());
     }
 
@@ -135,10 +135,10 @@ proptest! {
         let keep = total * keep_pct / 100;
         f.truncate_to_commits(keep).expect("truncate surviving prefix");
         prop_assert_eq!(f.commits(), keep);
-        prop_assert!(f.snapshot().self_check().is_ok(), "truncated state must be valid");
+        prop_assert!(f.db().read_view().self_check().is_ok(), "truncated state must be valid");
         ship_full_log(&leader, &f);
         prop_assert_eq!(f.commits(), total);
-        prop_assert!(check_identical(&f.snapshot(), &leader.snapshot()).is_ok());
+        prop_assert!(check_identical(&f.db().read_view(), &leader.read_view()).is_ok());
         prop_assert_eq!(f.db().dump_wal(), leader.dump_wal());
     }
 }
@@ -155,9 +155,10 @@ fn truncation_below_snapshot_base_is_rejected() {
             .unwrap();
     }
     let f = Follower::new(3, &Registry::new());
+    let origin = origin.read_view();
     f.ingest(Shipment::Snapshot {
-        snap: origin.snapshot(),
         base_commits: origin.commits(),
+        snap: origin.into_snapshot(),
         shipped_at: Instant::now(),
     })
     .unwrap();
@@ -185,6 +186,6 @@ fn crash_reset_follower_rebootstraps_from_log() {
     assert_eq!(f.commits(), 0);
     ship_full_log(&leader, &f);
     assert_eq!(f.commits(), 8);
-    check_identical(&f.snapshot(), &leader.snapshot()).unwrap();
+    check_identical(&f.db().read_view(), &leader.read_view()).unwrap();
     assert_eq!(f.db().dump_wal(), leader.dump_wal());
 }

@@ -145,7 +145,7 @@ proptest! {
                 }]);
             }
         }
-        let frozen = db.snapshot();
+        let frozen = db.read_view();
         let frozen_flat = frozen.materialize();
         let wal_at_freeze = db.wal_records();
         for r in &recs_b {
@@ -170,10 +170,10 @@ proptest! {
             }
         }
         // The old handle still reads the frozen version.
-        prop_assert_eq!(&frozen, &frozen_flat);
+        prop_assert_eq!(frozen.snapshot(), &frozen_flat);
         prop_assert_eq!(StoreSnapshot::replay(&wal_at_freeze), frozen_flat);
         // And the live DB still replays to its own (newer) state.
-        prop_assert_eq!(Store::replay(&db.wal_records()), db.snapshot());
+        prop_assert_eq!(Store::replay(&db.wal_records()), *db.read_view());
     }
 }
 
@@ -224,7 +224,7 @@ fn snapshot_immutable_and_consistent_under_writers() {
     }
     let all = Pattern::from_glob("dc01.*").unwrap();
     for _ in 0..200 {
-        let snap = db.snapshot();
+        let snap = db.read_view();
         let first = snap.get_all(&all);
         // Torn-batch check: paired markers agree within one version.
         for t in 0..2u32 {
@@ -246,5 +246,5 @@ fn snapshot_immutable_and_consistent_under_writers() {
         w.join().unwrap();
     }
     // The final state still replays exactly from the WAL.
-    assert_eq!(Store::replay(&db.wal_records()), db.snapshot());
+    assert_eq!(Store::replay(&db.wal_records()), *db.read_view());
 }

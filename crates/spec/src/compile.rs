@@ -386,7 +386,7 @@ mod tests {
         let prog = compiled.program();
         let report = rt.task("fw").run(|ctx| prog(ctx));
         assert_eq!(report.state, TaskState::Completed, "{:?}", report.error);
-        let snap = rt.db().snapshot();
+        let snap = rt.db().read_view();
         let scope = Pattern::from_glob("dc01.pod00.tor*").unwrap();
         let fw = snap.get_attr(&scope, attrs::FIRMWARE_VERSION);
         assert!(!fw.is_empty());

@@ -16,7 +16,7 @@ use occam::{execute_rollback, TaskState};
 fn main() {
     let (runtime, _ft) = occam::emulated_deployment(1, 6);
     let svc = occam::emu_service(&runtime);
-    let before = runtime.db().snapshot();
+    let before = runtime.db().read_view();
 
     // Fail the first f_optic_test invocation, like the paper's example.
     svc.library().fail_at("f_optic_test", 0);
@@ -63,7 +63,7 @@ fn main() {
     let steps = execute_rollback(&report, runtime.db(), svc).unwrap();
     println!();
     println!("executed {steps} rollback steps");
-    assert_eq!(runtime.db().snapshot(), before, "database fully restored");
+    assert_eq!(runtime.db().read_view(), before, "database fully restored");
     let net = svc.net();
     let guard = net.lock();
     let id = guard.device_by_name("dc01.pod01.tor00").unwrap();

@@ -86,17 +86,17 @@ fn unknown_device_function_aborts_cleanly() {
 }
 
 #[test]
-fn task_queue_reports_aborted_tasks() {
+fn pooled_handle_reports_aborted_tasks() {
     let (rt, _ft) = occam::emulated_deployment(1, 4);
-    let q = occam::core::TaskQueue::new(rt, 2);
-    let ok = q.submit("ok", false, |_| Ok(()));
-    let bad = q.submit("bad", false, |_| {
-        Err(TaskError::Failed("deliberate".into()))
-    });
-    assert_eq!(q.wait(ok).unwrap().state, TaskState::Completed);
-    let report = q.wait(bad).unwrap();
+    assert!(rt.configure_pool(2));
+    let ok = rt.task("ok").spawn_pooled(|_| Ok(()));
+    let bad = rt
+        .task("bad")
+        .spawn_pooled(|_| Err(TaskError::Failed("deliberate".into())));
+    assert_eq!(ok.wait().state, TaskState::Completed);
+    let report = bad.wait();
     assert_eq!(report.state, TaskState::Aborted);
-    assert_eq!(q.state_of(bad), Some(TaskState::Aborted));
+    assert_eq!(bad.try_report().map(|r| r.state), Some(TaskState::Aborted));
 }
 
 #[test]

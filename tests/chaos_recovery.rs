@@ -77,7 +77,7 @@ proptest! {
         for k in 0..=records.len() {
             let store = Store::replay(&records[..k]);
             if k == records.len() {
-                prop_assert_eq!(&store, &rt.db().snapshot());
+                prop_assert_eq!(&store, rt.db().read_view().snapshot());
             }
             // Text-level torn shutdown: a WAL file cut after k records
             // must decode and recover to exactly that prefix's store.
@@ -89,7 +89,7 @@ proptest! {
                 .collect();
             let recovered = Database::recover(&truncated)
                 .map_err(|e| TestCaseError::fail(format!("prefix {k} failed: {e}")))?;
-            prop_assert_eq!(&recovered.snapshot(), &store);
+            prop_assert_eq!(recovered.read_view().snapshot(), &store);
         }
     }
 }

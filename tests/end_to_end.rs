@@ -139,7 +139,7 @@ fn containment_conflict_blocks_whole_dc_writer() {
 #[test]
 fn db_failure_aborts_task_and_suggests_revert() {
     let (rt, _ft) = occam::emulated_deployment(1, 4);
-    let before = rt.db().snapshot();
+    let before = rt.db().read_view();
     // First write succeeds, second query hits an injected connection
     // failure.
     let report = rt.task("flaky_db").run(|ctx| {
@@ -157,7 +157,7 @@ fn db_failure_aborts_task_and_suggests_revert() {
     let plan = report.rollback.as_ref().unwrap();
     assert_eq!(plan.arrow_notation(), "r(DB_CHANGE)");
     occam::execute_rollback(&report, rt.db(), occam::emu_service(&rt)).unwrap();
-    assert_eq!(rt.db().snapshot(), before);
+    assert_eq!(rt.db().read_view(), before);
 }
 
 #[test]

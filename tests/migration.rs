@@ -86,7 +86,7 @@ fn intermediate_state_is_invisible_to_concurrent_readers() {
 fn failed_migration_rolls_back_to_original_inventory() {
     let (rt, _ft) = occam::emulated_deployment(1, 6);
     let svc = occam::emu_service(&rt);
-    let before = rt.db().snapshot();
+    let before = rt.db().read_view();
     let report = rt.task("migration").run(|ctx| {
         let pod = ctx.network("dc01.pod02.*")?;
         pod.remove_device(OLD_DEV)?;
@@ -103,7 +103,7 @@ fn failed_migration_rolls_back_to_original_inventory() {
     assert_eq!(plan.arrow_notation(), "r(DB_CHANGE) -> r(DB_CHANGE)");
     execute_rollback(&report, rt.db(), svc).unwrap();
     // Original inventory restored, including the old device's links.
-    assert_eq!(rt.db().snapshot(), before);
+    assert_eq!(rt.db().read_view(), before);
 }
 
 #[test]
@@ -168,7 +168,7 @@ fn rollback_after_insert_and_push_handles_deleted_target() {
     // first revert deletes), and executing it restores the exact snapshot.
     let (rt, _ft) = occam::emulated_deployment(1, 6);
     let svc = occam::emu_service(&rt);
-    let before = rt.db().snapshot();
+    let before = rt.db().read_view();
     let report = rt.task("insert_push_fail").run(|ctx| {
         let pod = ctx.network("dc01.pod03.*")?;
         pod.insert_device(NEW_POD3_DEV, vec![])?;
@@ -182,7 +182,7 @@ fn rollback_after_insert_and_push_handles_deleted_target() {
         result.is_ok(),
         "rollback must tolerate re-pushing around the deleted insert: {result:?}"
     );
-    assert_eq!(rt.db().snapshot(), before);
+    assert_eq!(rt.db().read_view(), before);
 }
 
 const NEW_POD3_DEV: &str = "dc01.pod03.tor77";

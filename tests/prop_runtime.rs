@@ -106,7 +106,7 @@ proptest! {
     ) {
         let (rt, _ft) = occam::emulated_deployment(1, 4);
         let svc = occam::emu_service(&rt);
-        let before = rt.db().snapshot();
+        let before = rt.db().read_view();
         let func = FUNCS[func_idx];
         svc.library().fail_at(func, nth);
         let steps2 = steps.clone();
@@ -131,7 +131,7 @@ proptest! {
                 execute_rollback(&report, rt.db(), svc)
                     .map_err(|e| TestCaseError::fail(format!("rollback failed: {e}")))?;
                 // Database byte-identical to the pre-task snapshot.
-                prop_assert_eq!(rt.db().snapshot(), before);
+                prop_assert_eq!(rt.db().read_view(), before);
                 // Device hygiene: undrained, no test environment left.
                 let net = svc.net();
                 let guard = net.lock();

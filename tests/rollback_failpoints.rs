@@ -38,7 +38,7 @@ const FUNC_STEPS: &[&str] = &[
 fn run_with_failure_at(func: &str) -> (occam::TaskReport, bool) {
     let (rt, _ft) = occam::emulated_deployment(1, 6);
     let svc = occam::emu_service(&rt);
-    let before_db = rt.db().snapshot();
+    let before_db = rt.db().read_view();
     svc.library().fail_at(func, 0);
     let report = rt.task("firmware_upgrade").run(upgrade_program);
     assert_eq!(report.state, TaskState::Aborted, "failure at {func}");
@@ -46,7 +46,7 @@ fn run_with_failure_at(func: &str) -> (occam::TaskReport, bool) {
     execute_rollback(&report, rt.db(), svc)
         .unwrap_or_else(|e| panic!("rollback execution failed at {func}: {e}"));
     // Database restored exactly.
-    let db_restored = rt.db().snapshot() == before_db;
+    let db_restored = rt.db().read_view() == before_db;
     // Device state clean: undrained, no test IP.
     let net = svc.net();
     let guard = net.lock();
@@ -117,7 +117,7 @@ fn db_write_failures_are_also_recoverable() {
     // Fail the second set() (firmware binary) via a database fault.
     let (rt, _ft) = occam::emulated_deployment(1, 6);
     let svc = occam::emu_service(&rt);
-    let before_db = rt.db().snapshot();
+    let before_db = rt.db().read_view();
     let report = rt.task("firmware_upgrade").run(|ctx| {
         let net = ctx.network(TARGET)?;
         net.apply("f_drain")?;
@@ -135,5 +135,5 @@ fn db_write_failures_are_also_recoverable() {
     let plan = report.rollback.as_ref().unwrap();
     assert_eq!(plan.arrow_notation(), "r(DB_CHANGE) -> UNDRAIN");
     execute_rollback(&report, rt.db(), svc).unwrap();
-    assert_eq!(rt.db().snapshot(), before_db);
+    assert_eq!(rt.db().read_view(), before_db);
 }

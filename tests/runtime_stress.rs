@@ -151,5 +151,5 @@ fn wal_replay_matches_after_concurrent_task_storm() {
         assert_eq!(h.join().unwrap().state, TaskState::Completed);
     }
     let replayed = occam::netdb::Store::replay(&rt.db().wal_records());
-    assert_eq!(replayed, rt.db().snapshot());
+    assert_eq!(replayed, *rt.db().read_view());
 }

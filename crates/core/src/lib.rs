@@ -63,6 +63,7 @@ pub mod pool;
 pub mod recovery;
 pub mod retry;
 pub mod runtime;
+pub mod steps;
 pub mod task;
 
 pub use builder::{Isolation, TaskBuilder};

@@ -9,10 +9,10 @@
 use crate::error::{TaskError, TaskResult};
 use crate::task::{TaskCtx, UndoRecord};
 use occam_emunet::FuncArgs;
-use occam_netdb::{AttrValue, LinkKey, ReadSource, ReadView, WriteOp};
-use occam_objtree::{LockMode, ObjectId};
+use occam_netdb::{AttrValue, Database, DbResult, LinkKey, ReadSource, ReadView, WriteOp};
+use occam_objtree::LockMode;
 use occam_regex::Pattern;
-use occam_rollback::{func_optype, LogEntry, OpStatus};
+use occam_rollback::{func_optype, LogEntry, OpStatus, OpType};
 use std::collections::BTreeMap;
 
 /// A logically centralized view over a region of the network.
@@ -24,24 +24,12 @@ use std::collections::BTreeMap;
 pub struct Network<'t> {
     ctx: &'t TaskCtx,
     pattern: Pattern,
-    #[allow(dead_code)]
-    covering: Vec<ObjectId>,
     mode: LockMode,
 }
 
 impl<'t> Network<'t> {
-    pub(crate) fn new(
-        ctx: &'t TaskCtx,
-        pattern: Pattern,
-        covering: Vec<ObjectId>,
-        mode: LockMode,
-    ) -> Network<'t> {
-        Network {
-            ctx,
-            pattern,
-            covering,
-            mode,
-        }
+    pub(crate) fn new(ctx: &'t TaskCtx, pattern: Pattern, mode: LockMode) -> Network<'t> {
+        Network { ctx, pattern, mode }
     }
 
     /// The compiled scope of this object.
@@ -49,11 +37,10 @@ impl<'t> Network<'t> {
         &self.pattern
     }
 
-    fn require_write(&self, what: &str) -> TaskResult<()> {
+    fn require_write(&self) -> TaskResult<()> {
         if self.mode == LockMode::Exclusive {
             Ok(())
         } else {
-            let _ = what;
             Err(TaskError::ReadOnlyObject {
                 scope: self.pattern.source().to_string(),
             })
@@ -115,6 +102,36 @@ impl<'t> Network<'t> {
         }
     }
 
+    /// The 2PL tail every database write shares: run `write`, record each
+    /// of `rows` in the certifier footprint at the commit position the
+    /// write published, and log `entry` (an `Ok` `DB_CHANGE`) with its
+    /// `undo` payload — or log the entry as failed and surface the error.
+    fn logged_write<T>(
+        &self,
+        entry: LogEntry,
+        rows: &[String],
+        undo: UndoRecord,
+        write: impl FnOnce(&Database) -> DbResult<(T, u64)>,
+    ) -> TaskResult<T> {
+        match write(self.ctx.runtime().db()) {
+            Ok((out, seq)) => {
+                for row in rows {
+                    self.ctx.record_write(row, seq + 1);
+                }
+                self.ctx.push_log(entry, undo);
+                Ok(out)
+            }
+            Err(e) => {
+                let failed = LogEntry {
+                    status: OpStatus::Failed,
+                    ..entry
+                };
+                self.ctx.push_log(failed, UndoRecord::None);
+                Err(e.into())
+            }
+        }
+    }
+
     /// The device names currently in the region (from the database).
     pub fn devices(&self) -> TaskResult<Vec<String>> {
         self.ctx.check_cancelled()?;
@@ -173,7 +190,7 @@ impl<'t> Network<'t> {
     /// publishes).
     pub fn set(&self, attr: &str, value: AttrValue) -> TaskResult<Vec<String>> {
         self.ctx.check_cancelled()?;
-        self.require_write("set")?;
+        self.require_write()?;
         self.ctx.runtime().obs_handles().ops_set.inc();
         let label = format!("set({attr})");
         if self.ctx.occ_active() {
@@ -189,7 +206,6 @@ impl<'t> Network<'t> {
             self.occ_stage(&ops, devices.clone(), &label)?;
             return Ok(devices);
         }
-        let db = self.ctx.runtime().db();
         // Capture previous values (absent = None) for the undo payload.
         type Captured = (Vec<String>, Vec<(String, Option<AttrValue>)>);
         let capture = || -> Result<Captured, TaskError> {
@@ -207,45 +223,19 @@ impl<'t> Network<'t> {
         let (devices, old) = match capture() {
             Ok(x) => x,
             Err(e) => {
-                self.ctx.push_log(
-                    LogEntry::failed(occam_rollback::OpType::DbChange, &label),
-                    UndoRecord::None,
-                );
+                self.ctx
+                    .push_log(LogEntry::failed(OpType::DbChange, &label), UndoRecord::None);
                 return Err(e);
             }
         };
-        match db.set_attr_seq(&self.pattern, attr, value) {
-            Ok((written, seq)) => {
-                for d in &written {
-                    self.ctx.record_write(d, seq + 1);
-                }
-                self.ctx.push_log(
-                    LogEntry {
-                        typ: occam_rollback::OpType::DbChange,
-                        label,
-                        devices: devices.clone(),
-                        status: OpStatus::Ok,
-                    },
-                    UndoRecord::Db {
-                        attr: attr.to_string(),
-                        old,
-                    },
-                );
-                Ok(written)
-            }
-            Err(e) => {
-                self.ctx.push_log(
-                    LogEntry {
-                        typ: occam_rollback::OpType::DbChange,
-                        label,
-                        devices,
-                        status: OpStatus::Failed,
-                    },
-                    UndoRecord::None,
-                );
-                Err(e.into())
-            }
-        }
+        let undo = UndoRecord::Db {
+            attr: attr.to_string(),
+            old,
+        };
+        let entry = LogEntry::ok(OpType::DbChange, label).with_devices(devices.clone());
+        self.logged_write(entry, &devices, undo, |db| {
+            db.set_attr_seq(&self.pattern, attr, value)
+        })
     }
 
     /// Writes one attribute with distinct per-device values (the paper's
@@ -256,7 +246,7 @@ impl<'t> Network<'t> {
         attr: &str,
     ) -> TaskResult<()> {
         self.ctx.check_cancelled()?;
-        self.require_write("set_per_device")?;
+        self.require_write()?;
         self.ctx.runtime().obs_handles().ops_set.inc();
         for d in values.keys() {
             if !self.pattern.matches(d) {
@@ -278,46 +268,26 @@ impl<'t> Network<'t> {
                 .collect();
             return self.occ_stage(&ops, values.keys().cloned().collect(), &label);
         }
-        let db = self.ctx.runtime().db();
         let current = self.read()?.get_attr(&self.pattern, attr);
-        let old: Vec<(String, Option<AttrValue>)> = values
-            .keys()
-            .map(|d| (d.clone(), current.get(d).cloned()))
-            .collect();
-        match db.set_attr_per_device(values, attr) {
-            Ok(seq) => {
-                for d in values.keys() {
-                    self.ctx.record_write(d, seq + 1);
-                }
-                self.ctx.push_log(
-                    LogEntry {
-                        typ: occam_rollback::OpType::DbChange,
-                        label,
-                        devices: values.keys().cloned().collect(),
-                        status: OpStatus::Ok,
-                    },
-                    UndoRecord::Db {
-                        attr: attr.to_string(),
-                        old,
-                    },
-                );
-                Ok(())
-            }
-            Err(e) => {
-                self.ctx.push_log(
-                    LogEntry::failed(occam_rollback::OpType::DbChange, &label),
-                    UndoRecord::None,
-                );
-                Err(e.into())
-            }
-        }
+        let devices: Vec<String> = values.keys().cloned().collect();
+        let undo = UndoRecord::Db {
+            attr: attr.to_string(),
+            old: devices
+                .iter()
+                .map(|d| (d.clone(), current.get(d).cloned()))
+                .collect(),
+        };
+        let entry = LogEntry::ok(OpType::DbChange, label).with_devices(devices.clone());
+        self.logged_write(entry, &devices, undo, |db| {
+            db.set_attr_per_device(values, attr).map(|seq| ((), seq))
+        })
     }
 
     /// Writes one attribute on every link touching the region. Logged as
     /// `DB_CHANGE`.
     pub fn set_links(&self, attr: &str, value: AttrValue) -> TaskResult<Vec<LinkKey>> {
         self.ctx.check_cancelled()?;
-        self.require_write("set_links")?;
+        self.require_write()?;
         self.ctx.runtime().obs_handles().ops_set.inc();
         let label = format!("set_links({attr})");
         if self.ctx.occ_active() {
@@ -339,41 +309,26 @@ impl<'t> Network<'t> {
             self.occ_stage(&ops, rows, &label)?;
             return Ok(keys);
         }
-        let db = self.ctx.runtime().db();
         let snap = self.read()?;
         let current = snap.get_link_attr(&self.pattern, attr);
         let keys = snap.links_touching(&self.pattern);
-        let old: Vec<(LinkKey, Option<AttrValue>)> = keys
+        let undo = UndoRecord::LinkDb {
+            attr: attr.to_string(),
+            old: keys
+                .iter()
+                .map(|k| (k.clone(), current.get(k).cloned()))
+                .collect(),
+        };
+        // A link write touches both endpoint rows.
+        let rows: Vec<String> = keys
             .iter()
-            .map(|k| (k.clone(), current.get(k).cloned()))
+            .flat_map(|(a, z)| [a.clone(), z.clone()])
             .collect();
-        match db.set_link_attr_scope_seq(&self.pattern, attr, value) {
-            Ok((written, seq)) => {
-                for k in &written {
-                    self.ctx.record_link_write(k, seq + 1);
-                }
-                self.ctx.push_log(
-                    LogEntry {
-                        typ: occam_rollback::OpType::DbChange,
-                        label,
-                        devices: keys.iter().map(|(a, z)| format!("{a}<->{z}")).collect(),
-                        status: OpStatus::Ok,
-                    },
-                    UndoRecord::LinkDb {
-                        attr: attr.to_string(),
-                        old,
-                    },
-                );
-                Ok(written)
-            }
-            Err(e) => {
-                self.ctx.push_log(
-                    LogEntry::failed(occam_rollback::OpType::DbChange, &label),
-                    UndoRecord::None,
-                );
-                Err(e.into())
-            }
-        }
+        let entry = LogEntry::ok(OpType::DbChange, label)
+            .with_devices(keys.iter().map(|(a, z)| format!("{a}<->{z}")).collect());
+        self.logged_write(entry, &rows, undo, |db| {
+            db.set_link_attr_scope_seq(&self.pattern, attr, value)
+        })
     }
 
     /// Inserts a new device row into the source of truth. The name must be
@@ -385,7 +340,7 @@ impl<'t> Network<'t> {
     /// Logged as `DB_CHANGE`; rollback deletes the row again.
     pub fn insert_device(&self, name: &str, attrs: Vec<(String, AttrValue)>) -> TaskResult<()> {
         self.ctx.check_cancelled()?;
-        self.require_write("insert_device")?;
+        self.require_write()?;
         self.ctx.runtime().obs_handles().ops_set.inc();
         if !self.pattern.matches(name) {
             return Err(TaskError::Failed(format!(
@@ -401,31 +356,14 @@ impl<'t> Network<'t> {
             }];
             return self.occ_stage(&ops, vec![name.to_string()], &label);
         }
-        let db = self.ctx.runtime().db();
-        match db.insert_device(name, attrs) {
-            Ok(seq) => {
-                self.ctx.record_write(name, seq + 1);
-                self.ctx.push_log(
-                    LogEntry {
-                        typ: occam_rollback::OpType::DbChange,
-                        label,
-                        devices: vec![name.to_string()],
-                        status: OpStatus::Ok,
-                    },
-                    UndoRecord::Inserted {
-                        name: name.to_string(),
-                    },
-                );
-                Ok(())
-            }
-            Err(e) => {
-                self.ctx.push_log(
-                    LogEntry::failed(occam_rollback::OpType::DbChange, &label),
-                    UndoRecord::None,
-                );
-                Err(e.into())
-            }
-        }
+        let rows = [name.to_string()];
+        let undo = UndoRecord::Inserted {
+            name: name.to_string(),
+        };
+        let entry = LogEntry::ok(OpType::DbChange, label).with_devices(rows.to_vec());
+        self.logged_write(entry, &rows, undo, |db| {
+            db.insert_device(name, attrs).map(|seq| ((), seq))
+        })
     }
 
     /// Logically deletes a device row (and its links) from the source of
@@ -437,7 +375,7 @@ impl<'t> Network<'t> {
     /// attributes and links.
     pub fn remove_device(&self, name: &str) -> TaskResult<()> {
         self.ctx.check_cancelled()?;
-        self.require_write("remove_device")?;
+        self.require_write()?;
         self.ctx.runtime().obs_handles().ops_set.inc();
         if !self.pattern.matches(name) {
             return Err(TaskError::Failed(format!(
@@ -460,50 +398,32 @@ impl<'t> Network<'t> {
             }];
             return self.occ_stage(&ops, rows, &label);
         }
-        let db = self.ctx.runtime().db();
         // Capture the row and its links for the undo payload — one
-        // consistent snapshot for both.
+        // consistent snapshot for both. The delete cascades into the
+        // links' peer rows, which are written too.
         let snap = self.read()?;
         let attrs: Vec<(String, AttrValue)> = snap
             .get_all(&one)
             .remove(name)
             .map(|m| m.into_iter().collect())
             .unwrap_or_default();
+        let mut rows = vec![name.to_string()];
         let mut links = Vec::new();
         for (a, z) in snap.links_touching(&one) {
-            let peer = if a == name { z.clone() } else { a.clone() };
             let attrs = snap.link_attrs(&a, &z).unwrap_or_default();
+            let peer = if a == name { z } else { a };
+            rows.push(peer.clone());
             links.push((peer, attrs.into_iter().collect()));
         }
-        match db.delete_device(name) {
-            Ok(seq) => {
-                self.ctx.record_write(name, seq + 1);
-                for (peer, _) in &links {
-                    self.ctx.record_write(peer, seq + 1);
-                }
-                self.ctx.push_log(
-                    LogEntry {
-                        typ: occam_rollback::OpType::DbChange,
-                        label,
-                        devices: vec![name.to_string()],
-                        status: OpStatus::Ok,
-                    },
-                    UndoRecord::Removed {
-                        name: name.to_string(),
-                        attrs,
-                        links,
-                    },
-                );
-                Ok(())
-            }
-            Err(e) => {
-                self.ctx.push_log(
-                    LogEntry::failed(occam_rollback::OpType::DbChange, &label),
-                    UndoRecord::None,
-                );
-                Err(e.into())
-            }
-        }
+        let undo = UndoRecord::Removed {
+            name: name.to_string(),
+            attrs,
+            links,
+        };
+        let entry = LogEntry::ok(OpType::DbChange, label).with_devices(vec![name.to_string()]);
+        self.logged_write(entry, &rows, undo, |db| {
+            db.delete_device(name).map(|seq| ((), seq))
+        })
     }
 
     /// Executes a device function on every device in the region: the
@@ -521,7 +441,7 @@ impl<'t> Network<'t> {
     pub fn apply_with(&self, func: &str, args: &FuncArgs) -> TaskResult<String> {
         self.ctx.check_cancelled()?;
         self.ctx.runtime().obs_handles().ops_apply.inc();
-        self.require_write("apply")?;
+        self.require_write()?;
         {
             let mut slot = self.ctx.occ.lock();
             if let Some(st) = slot.as_mut() {
@@ -622,8 +542,8 @@ mod tests {
         });
         assert_eq!(report.state, TaskState::Completed);
         assert_eq!(report.log.len(), 2);
-        assert_eq!(report.log[0].typ, occam_rollback::OpType::Drain);
-        assert_eq!(report.log[1].typ, occam_rollback::OpType::Undrain);
+        assert_eq!(report.log[0].typ, OpType::Drain);
+        assert_eq!(report.log[1].typ, OpType::Undrain);
         assert_eq!(report.log[0].devices, vec!["dc01.pod00.agg00".to_string()]);
     }
 

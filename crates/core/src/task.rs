@@ -277,15 +277,6 @@ impl TaskCtx {
         }
     }
 
-    /// Records a link write: both endpoint rows at `count`.
-    pub(crate) fn record_link_write(&self, key: &LinkKey, count: u64) {
-        if self.certified() {
-            let mut fp = self.footprint.lock();
-            fp.write(key.0.clone(), count);
-            fp.write(key.1.clone(), count);
-        }
-    }
-
     pub(crate) fn take_footprint(&self) -> Footprint {
         std::mem::take(&mut *self.footprint.lock())
     }
@@ -333,10 +324,10 @@ impl TaskCtx {
     fn scope_object(&self, pattern: Pattern, mode: LockMode) -> TaskResult<Network<'_>> {
         if self.occ_active() {
             self.check_cancelled()?;
-            return Ok(Network::new(self, pattern, Vec::new(), mode));
+            return Ok(Network::new(self, pattern, mode));
         }
-        let covering = self.runtime.acquire(self, &pattern, mode)?;
-        Ok(Network::new(self, pattern, covering, mode))
+        self.runtime.acquire(self, &pattern, mode)?;
+        Ok(Network::new(self, pattern, mode))
     }
 
     /// Creates a network object over `scope` (glob syntax, e.g.

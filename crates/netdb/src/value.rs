@@ -93,6 +93,8 @@ pub mod attrs {
     pub const FIRMWARE_VERSION: &str = "FIRMWARE_VERSION";
     /// Location of the firmware binary to push.
     pub const FIRMWARE_BINARY: &str = "FIRMWARE_BINARY";
+    /// Configuration generation pushed to the device.
+    pub const CONFIG_VERSION: &str = "CONFIG_VERSION";
     /// Device management IP address.
     pub const IP_ADDRESS: &str = "IP_ADDRESS";
     /// Temporary test IP address (allocated by `f_alloc_ip`).

@@ -18,17 +18,17 @@
 //!   O(network).
 //! - **Waves**: the consistent-update coordinator — diff the declared
 //!   target against the live store, synthesize an invariant-checked wave
-//!   plan, execute it wave by wave (`occam-update`). The target snapshot
+//!   plan, execute it wave by wave (`occam-update`, whose executor lowers
+//!   and proves each wave's steps before running them). The target snapshot
 //!   is built with [`occam_netdb::StoreSnapshot::overlay`], so the diff costs
 //!   O(scope), not O(network).
 
 use crate::ast::{Mode, Spec, SpecError, Strategy};
-use crate::lower::{LoweredStep, CONFIG_VERSION};
 use crate::obs::SpecObs;
 use crate::parse::{instantiate, parse_spec};
 use crate::validate::validate;
+use occam_core::steps::Step;
 use occam_core::{Isolation, TaskCtx, TaskError, TaskResult};
-use occam_emunet::FuncArgs;
 use occam_netdb::{attrs, ComplianceReport, WalRecord};
 use occam_obs::EventKind;
 use occam_regex::Pattern;
@@ -44,7 +44,7 @@ pub type Program = Box<dyn Fn(&TaskCtx) -> TaskResult<()> + Send + 'static>;
 /// A validated, lowered spec, ready to wrap as a [`Program`].
 pub struct Compiled {
     spec: Spec,
-    steps: Vec<LoweredStep>,
+    steps: Vec<Step>,
 }
 
 impl Compiled {
@@ -53,10 +53,10 @@ impl Compiled {
         &self.spec
     }
 
-    /// The lowered step sequence (empty for audits and informational for
-    /// wave-strategy specs, whose execution goes through the wave
-    /// executor).
-    pub fn steps(&self) -> &[LoweredStep] {
+    /// The proved step sequence a direct-strategy spec executes (empty
+    /// for audits and for wave-strategy specs, whose programs the wave
+    /// executor builds and proves per wave).
+    pub fn steps(&self) -> &[Step] {
         &self.steps
     }
 
@@ -127,46 +127,10 @@ pub fn template_program(
     })
 }
 
-fn run_direct(spec: &Spec, steps: &[LoweredStep], ctx: &TaskCtx) -> TaskResult<()> {
+fn run_direct(spec: &Spec, steps: &[Step], ctx: &TaskCtx) -> TaskResult<()> {
     let region = ctx.network(&spec.scope)?;
     for step in steps {
-        match step {
-            LoweredStep::Drain => {
-                region.apply("f_drain")?;
-            }
-            LoweredStep::Undrain => {
-                region.apply("f_undrain")?;
-            }
-            LoweredStep::SetStatus(value) => {
-                region.set(attrs::DEVICE_STATUS, value.clone())?;
-            }
-            LoweredStep::SetAttr(attr, value) => {
-                region.set(attr, value.clone())?;
-            }
-            LoweredStep::CreateConfig => {
-                region.apply("f_create_config")?;
-            }
-            LoweredStep::Push { firmware, drained } => {
-                // `admin` always explicit: a push unaware of the drain it
-                // runs inside would overwrite the admin state back to
-                // active (case study #1).
-                let mut args = FuncArgs::one("admin", if *drained { "drained" } else { "active" });
-                if let Some(version) = firmware {
-                    args = args.with("firmware", version);
-                }
-                region.apply_with("f_push", &args)?;
-            }
-            LoweredStep::Prepare => {
-                region.apply("f_alloc_ip")?;
-            }
-            LoweredStep::Test(kind) => {
-                region.apply(kind.func())?;
-            }
-            LoweredStep::Unprepare => {
-                region.apply("f_dealloc_ip")?;
-            }
-            LoweredStep::CheckCancelled => ctx.check_cancelled()?,
-        }
+        step.run(&region, ctx)?;
     }
     region.close();
     Ok(())
@@ -250,7 +214,7 @@ fn run_waves(spec: &Spec, ctx: &TaskCtx) -> TaskResult<()> {
         if let Some(generation) = &spec.config {
             records.push(WalRecord::SetDeviceAttr {
                 name: name.clone(),
-                attr: CONFIG_VERSION.into(),
+                attr: attrs::CONFIG_VERSION.into(),
                 value: generation.as_str().into(),
             });
         }
@@ -383,9 +347,22 @@ mod tests {
         )
         .unwrap();
         assert!(!compiled.read_only());
+        let proved: Vec<_> = compiled
+            .steps()
+            .iter()
+            .filter_map(Step::log_entry)
+            .collect();
         let prog = compiled.program();
         let report = rt.task("fw").run(|ctx| prog(ctx));
         assert_eq!(report.state, TaskState::Completed, "{:?}", report.error);
+        // What ran is what was proved: the real log is the proved
+        // sequence's typed projection.
+        let label = |e: &occam_rollback::LogEntry| (e.typ, e.label.clone());
+        assert!(!proved.is_empty());
+        assert_eq!(
+            report.log.iter().map(label).collect::<Vec<_>>(),
+            proved.iter().map(label).collect::<Vec<_>>()
+        );
         let snap = rt.db().read_view();
         let scope = Pattern::from_glob("dc01.pod00.tor*").unwrap();
         let fw = snap.get_attr(&scope, attrs::FIRMWARE_VERSION);

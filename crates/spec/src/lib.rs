@@ -39,7 +39,8 @@ pub mod validate;
 
 pub use ast::{Mode, Spec, SpecError, Strategy, Terminal, TestKind};
 pub use compile::{compile, compile_source, template_program, Compiled, Program};
-pub use lower::{lower, needs_offline, LoweredStep, CONFIG_VERSION};
+pub use lower::{lower, needs_offline};
 pub use obs::SpecObs;
+pub use occam_netdb::attrs::CONFIG_VERSION;
 pub use parse::{instantiate, parse_spec};
 pub use validate::validate;

@@ -1,99 +1,18 @@
-//! Lowering: from a desired-state [`Spec`] to a typed step sequence.
+//! Lowering: from a desired-state [`Spec`] to a [`Step`] sequence.
 //!
-//! The lowered sequence is the single source of truth for what an
-//! apply-mode spec executes ([`crate::compile()`] interprets it step by
-//! step) and for what the validator proves about it
-//! ([`crate::validate()`] replays every abort prefix of the typed steps
-//! through the Table 1 parser).
-//!
-//! The ordering rules that make every prefix parse:
-//!
-//! - A run of database writes is always either immediately followed by a
-//!   `PUSH_CFG`, or is the final trailing segment of the program (a
-//!   crash inside either shape is a legal broken `cfg_change`). In
-//!   particular the status write happens *inside* the drain window as
-//!   the first entry of the pushed `db_list` — never before `DRAIN`,
-//!   which is the exact mid-log-`db_list` parse error the old hand-built
-//!   workflows shipped with.
-//! - Every `UNDRAIN` closes a `DRAIN` opened by the same program. A spec
-//!   asking only to re-activate a region lowers to `DRAIN UNDRAIN` (an
-//!   empty offline block) rather than a bare, unparseable `UNDRAIN`.
-//! - Tests always run inside a full `PREPARE TEST* UNPREPARE` testing
-//!   block, inside the drain window.
+//! The lowered sequence is the single source of truth for what a
+//! direct-strategy apply spec executes ([`crate::compile()`] runs it step
+//! by step) and for what the validator proves about it
+//! ([`crate::validate()`] hands it to
+//! [`occam_core::steps::check_abort_prefixes`]). The ordering rules that
+//! make every abort prefix parse are stated once, in
+//! [`occam_core::steps`]; what is spec-specific is which declarations
+//! open a drain window ([`needs_offline`]) and where the terminal status
+//! lands.
 
-use crate::ast::{Mode, Spec, Terminal, TestKind};
-use occam_netdb::{attrs, AttrValue};
-use occam_rollback::OpType;
-
-/// The configuration-generation attribute (pushed attribute; shared
-/// vocabulary with `occam-update`'s diff engine).
-pub const CONFIG_VERSION: &str = "CONFIG_VERSION";
-
-/// One typed step of a lowered spec program.
-#[derive(Clone, PartialEq, Debug)]
-pub enum LoweredStep {
-    /// `apply(f_drain)` — open the maintenance window.
-    Drain,
-    /// `apply(f_undrain)` — close the maintenance window.
-    Undrain,
-    /// `set(DEVICE_STATUS)` to the given admin state.
-    SetStatus(AttrValue),
-    /// `set(<attr>)` — any other database write.
-    SetAttr(String, AttrValue),
-    /// `apply(f_create_config)` — generate device configuration
-    /// (untyped under Table 2: not part of the parsed log).
-    CreateConfig,
-    /// `apply(f_push)` — push configuration, optionally carrying a
-    /// firmware image, to devices whose admin state must be preserved.
-    Push {
-        /// Firmware version to flash along with the push.
-        firmware: Option<String>,
-        /// True when the push happens inside a drain window (the push
-        /// must not overwrite the drained admin state — case study #1).
-        drained: bool,
-    },
-    /// `apply(f_alloc_ip)` — set up the test environment.
-    Prepare,
-    /// A device test inside the testing block.
-    Test(TestKind),
-    /// `apply(f_dealloc_ip)` — tear down the test environment.
-    Unprepare,
-    /// Cooperative cancellation checkpoint (no log entry).
-    CheckCancelled,
-}
-
-impl LoweredStep {
-    /// The Table 2 type label this step logs under, or `None` for steps
-    /// outside the typed subset (they do not appear in the parsed log).
-    pub fn op_type(&self) -> Option<OpType> {
-        match self {
-            LoweredStep::Drain => Some(OpType::Drain),
-            LoweredStep::Undrain => Some(OpType::Undrain),
-            LoweredStep::SetStatus(_) | LoweredStep::SetAttr(..) => Some(OpType::DbChange),
-            LoweredStep::Push { .. } => Some(OpType::PushCfg),
-            LoweredStep::Prepare => Some(OpType::Prepare),
-            LoweredStep::Test(_) => Some(OpType::Test),
-            LoweredStep::Unprepare => Some(OpType::Unprepare),
-            LoweredStep::CreateConfig | LoweredStep::CheckCancelled => None,
-        }
-    }
-
-    /// Human-readable label, matching the runtime's execution-log style.
-    pub fn label(&self) -> String {
-        match self {
-            LoweredStep::Drain => "apply(f_drain)".into(),
-            LoweredStep::Undrain => "apply(f_undrain)".into(),
-            LoweredStep::SetStatus(_) => format!("set({})", attrs::DEVICE_STATUS),
-            LoweredStep::SetAttr(attr, _) => format!("set({attr})"),
-            LoweredStep::CreateConfig => "apply(f_create_config)".into(),
-            LoweredStep::Push { .. } => "apply(f_push)".into(),
-            LoweredStep::Prepare => "apply(f_alloc_ip)".into(),
-            LoweredStep::Test(kind) => format!("apply({})", kind.func()),
-            LoweredStep::Unprepare => "apply(f_dealloc_ip)".into(),
-            LoweredStep::CheckCancelled => "check_cancelled".into(),
-        }
-    }
-}
+use crate::ast::{Mode, Spec, Terminal};
+use occam_core::steps::Step;
+use occam_netdb::attrs;
 
 /// True when the spec's realization needs a maintenance (drain) window:
 /// firmware flashes, device tests, and any declared terminal state all
@@ -102,13 +21,12 @@ pub fn needs_offline(spec: &Spec) -> bool {
     spec.firmware.is_some() || !spec.tests.is_empty() || spec.terminal.is_some()
 }
 
-/// Lowers an apply-mode spec into its typed step sequence. Audit-mode
-/// specs lower to nothing (they execute through the view cache instead);
-/// wave-strategy specs use this sequence only for validation — execution
-/// goes through the `occam-update` synthesizer, whose executor emits the
-/// same grammar-conformant wave shape.
-pub fn lower(spec: &Spec) -> Vec<LoweredStep> {
-    use LoweredStep as S;
+/// Lowers a direct-strategy apply spec into its step sequence.
+/// Audit-mode specs lower to nothing (they execute through the view
+/// cache instead).
+pub fn lower(spec: &Spec) -> Vec<Step> {
+    use Step as S;
+    let status = |value: &str| S::Set(attrs::DEVICE_STATUS.into(), value.into());
     let mut steps = Vec::new();
     if matches!(spec.mode, Mode::Audit { .. }) {
         return steps;
@@ -122,36 +40,36 @@ pub fn lower(spec: &Spec) -> Vec<LoweredStep> {
     };
 
     if offline {
-        steps.push(S::Drain);
+        steps.push(S::Apply("f_drain"));
     }
     if pushes {
         // The pushed db_list. Inside a drain window it leads with the
         // maintenance status so a crash-revert restores status together
         // with the config attributes.
         if offline {
-            steps.push(S::SetStatus(attrs::STATUS_UNDER_MAINTENANCE.into()));
+            steps.push(status(attrs::STATUS_UNDER_MAINTENANCE));
         }
         if let Some(generation) = &spec.config {
-            steps.push(S::SetAttr(
-                CONFIG_VERSION.into(),
+            steps.push(S::Set(
+                attrs::CONFIG_VERSION.into(),
                 generation.as_str().into(),
             ));
         }
         if let Some(version) = &spec.firmware {
-            steps.push(S::SetAttr(
+            steps.push(S::Set(
                 attrs::FIRMWARE_VERSION.into(),
                 version.as_str().into(),
             ));
-            steps.push(S::SetAttr(
+            steps.push(S::Set(
                 attrs::FIRMWARE_BINARY.into(),
                 format!("img-{version}").as_str().into(),
             ));
         }
         for (attr, value) in &spec.sets {
-            steps.push(S::SetAttr(attr.clone(), value.clone()));
+            steps.push(S::Set(attr.clone(), value.clone()));
         }
         if spec.config.is_some() {
-            steps.push(S::CreateConfig);
+            steps.push(S::Apply("f_create_config"));
         }
         steps.push(S::CheckCancelled);
         steps.push(S::Push {
@@ -161,11 +79,11 @@ pub fn lower(spec: &Spec) -> Vec<LoweredStep> {
         steps.push(S::CheckCancelled);
     }
     if !spec.tests.is_empty() {
-        steps.push(S::Prepare);
+        steps.push(S::Apply("f_alloc_ip"));
         for kind in &spec.tests {
-            steps.push(S::Test(*kind));
+            steps.push(S::Apply(kind.func()));
         }
-        steps.push(S::Unprepare);
+        steps.push(S::Apply("f_dealloc_ip"));
         steps.push(S::CheckCancelled);
     }
     // The closing segment: plain (non-pushed) attribute writes and the
@@ -174,26 +92,26 @@ pub fn lower(spec: &Spec) -> Vec<LoweredStep> {
     let trailing_sets = |steps: &mut Vec<S>| {
         if !pushes {
             for (attr, value) in &spec.sets {
-                steps.push(S::SetAttr(attr.clone(), value.clone()));
+                steps.push(S::Set(attr.clone(), value.clone()));
             }
         }
     };
     match terminal {
         Some(Terminal::Active) => {
-            steps.push(S::Undrain);
+            steps.push(S::Apply("f_undrain"));
             trailing_sets(&mut steps);
-            steps.push(S::SetStatus(attrs::STATUS_ACTIVE.into()));
+            steps.push(status(attrs::STATUS_ACTIVE));
         }
         Some(Terminal::UnderMaintenance) => {
             // With a push, the status already leads the pushed db_list.
             trailing_sets(&mut steps);
             if !pushes {
-                steps.push(S::SetStatus(attrs::STATUS_UNDER_MAINTENANCE.into()));
+                steps.push(status(attrs::STATUS_UNDER_MAINTENANCE));
             }
         }
         Some(Terminal::Drained) => {
             trailing_sets(&mut steps);
-            steps.push(S::SetStatus(attrs::STATUS_DRAINED.into()));
+            steps.push(status(attrs::STATUS_DRAINED));
         }
         None => trailing_sets(&mut steps),
     }
@@ -203,10 +121,15 @@ pub fn lower(spec: &Spec) -> Vec<LoweredStep> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Strategy;
+    use crate::ast::{Strategy, TestKind};
+    use occam_netdb::AttrValue;
+    use occam_rollback::OpType;
 
-    fn typed(steps: &[LoweredStep]) -> Vec<OpType> {
-        steps.iter().filter_map(LoweredStep::op_type).collect()
+    fn typed(steps: &[Step]) -> Vec<OpType> {
+        steps
+            .iter()
+            .filter_map(|s| s.log_entry().map(|e| e.typ))
+            .collect()
     }
 
     #[test]
@@ -265,7 +188,7 @@ mod tests {
         );
         assert!(steps.iter().any(|s| matches!(
             s,
-            LoweredStep::Push {
+            Step::Push {
                 firmware: Some(v),
                 drained: true
             } if v == "fw-2.0.0"
@@ -278,10 +201,10 @@ mod tests {
         spec.config = Some("g9".into());
         let steps = lower(&spec);
         assert_eq!(typed(&steps), vec![OpType::DbChange, OpType::PushCfg]);
-        assert!(steps.contains(&LoweredStep::CreateConfig));
+        assert!(steps.contains(&Step::Apply("f_create_config")));
         assert!(steps.iter().any(|s| matches!(
             s,
-            LoweredStep::Push {
+            Step::Push {
                 firmware: None,
                 drained: false
             }

@@ -2,20 +2,23 @@
 //! spec's lowering is rollback-safe.
 //!
 //! The mechanical half is the interesting one. Rather than trusting the
-//! lowering rules by construction, the validator *enumerates every abort
-//! prefix* of the lowered typed step sequence and runs each through the
-//! actual Table 1 parser ([`occam_rollback::parse_log`]). A spec is
-//! accepted only if a crash after any step — including after zero steps
-//! and after the final step — leaves an execution log the rollback
-//! planner can parse and therefore revert. This is the property the old
-//! hand-built catalog workflows silently violated (status writes before
-//! `DRAIN`, bare `TEST` outside a testing block): their abort logs were
-//! unparseable exactly in the windows chaos testing is designed to hit.
+//! lowering rules by construction, the validator hands the lowered step
+//! sequence to [`check_abort_prefixes`], which runs *every abort prefix*
+//! through the actual Table 1 parser. A spec is accepted only if a crash
+//! after any step leaves an execution log the rollback planner can parse
+//! and therefore revert. This is the property the old hand-built catalog
+//! workflows silently violated (status writes before `DRAIN`, bare
+//! `TEST` outside a testing block): their abort logs were unparseable
+//! exactly in the windows chaos testing is designed to hit.
+//!
+//! Wave-strategy specs have no program of their own to prove: each wave
+//! the synthesizer plans is lowered and proved by the `occam-update`
+//! executor right before it runs.
 
 use crate::ast::{Mode, Spec, SpecError, Strategy};
-use crate::lower::{lower, LoweredStep, CONFIG_VERSION};
+use crate::lower::lower;
+use occam_core::steps::{check_abort_prefixes, Step};
 use occam_netdb::attrs;
-use occam_rollback::{parse_log, LogEntry};
 
 /// Attributes a spec's `set` statements may not name: admin status is
 /// owned by `ensure status`, and the pushed configuration attributes are
@@ -25,16 +28,20 @@ const RESERVED_ATTRS: &[&str] = &[
     attrs::DEVICE_STATUS,
     attrs::FIRMWARE_VERSION,
     attrs::FIRMWARE_BINARY,
-    CONFIG_VERSION,
+    attrs::CONFIG_VERSION,
 ];
 
 /// Validates a spec: semantic rules, then grammar conformance of the
-/// lowering. Returns the lowered steps so the compiler does not lower
-/// twice.
-pub fn validate(spec: &Spec) -> Result<Vec<LoweredStep>, SpecError> {
+/// lowering. Returns the proved steps — the program a direct-strategy
+/// spec executes; empty for audits and wave-strategy specs.
+pub fn validate(spec: &Spec) -> Result<Vec<Step>, SpecError> {
     semantic(spec)?;
+    if spec.strategy == Strategy::Waves {
+        return Ok(Vec::new());
+    }
     let steps = lower(spec);
-    conformance(&steps)?;
+    check_abort_prefixes(&steps)
+        .map_err(|e| SpecError::general(format!("lowering is not rollback-safe: {e}")))?;
     Ok(steps)
 }
 
@@ -124,24 +131,6 @@ fn semantic(spec: &Spec) -> Result<(), SpecError> {
                 "wave-strategy specs cannot carry plain `set`s: the diff engine \
                  only tracks pushed configuration attributes",
             ));
-        }
-    }
-    Ok(())
-}
-
-/// The mechanical grammar check: every abort prefix of the typed step
-/// sequence must parse under Table 1.
-fn conformance(steps: &[LoweredStep]) -> Result<(), SpecError> {
-    let typed: Vec<LogEntry> = steps
-        .iter()
-        .filter_map(|s| s.op_type().map(|t| LogEntry::ok(t, s.label())))
-        .collect();
-    for cut in 0..=typed.len() {
-        if let Err(e) = parse_log(&typed[..cut]) {
-            return Err(SpecError::general(format!(
-                "lowering is not rollback-safe: abort after step {cut} leaves an \
-                 unparseable log ({e})"
-            )));
         }
     }
     Ok(())
@@ -240,21 +229,14 @@ mod tests {
 
     #[test]
     fn conformance_rejects_the_legacy_broken_shapes() {
-        use occam_rollback::OpType;
+        let status = Step::Set(attrs::DEVICE_STATUS.into(), "UNDER_MAINTENANCE".into());
         // Status write BEFORE the drain (old `drain` workflow): the
         // abort prefix [DB_CHANGE, DRAIN] is a mid-log broken db_list.
-        let legacy_drain = [
-            LogEntry::ok(OpType::DbChange, "set(DEVICE_STATUS)"),
-            LogEntry::ok(OpType::Drain, "apply(f_drain)"),
-        ];
-        assert!(parse_log(&legacy_drain).is_err());
+        assert!(check_abort_prefixes(&[status, Step::Apply("f_drain")]).is_err());
 
         // Bare test outside a testing block (old `device_maintenance`).
-        let legacy_test = [
-            LogEntry::ok(OpType::Drain, "apply(f_drain)"),
-            LogEntry::ok(OpType::Test, "apply(f_optic_test)"),
-        ];
-        assert!(parse_log(&legacy_test).is_err());
+        let legacy_test = [Step::Apply("f_drain"), Step::Apply("f_optic_test")];
+        assert!(check_abort_prefixes(&legacy_test).is_err());
 
         // And the validator-facing form of the same property: any spec
         // the validator accepts has no such prefix, by enumeration.
@@ -262,12 +244,7 @@ mod tests {
         maint.terminal = Some(Terminal::Active);
         maint.tests = vec![TestKind::Optic];
         let steps = validate(&maint).unwrap();
-        let typed: Vec<LogEntry> = steps
-            .iter()
-            .filter_map(|s| s.op_type().map(|t| LogEntry::ok(t, s.label())))
-            .collect();
-        for cut in 0..=typed.len() {
-            parse_log(&typed[..cut]).unwrap();
-        }
+        assert!(!steps.is_empty());
+        check_abort_prefixes(&steps).unwrap();
     }
 }

@@ -13,8 +13,8 @@
 //!   and re-parsing it reproduces the same AST.
 //! - **Determinism** — compilation is a pure function of the spec.
 
+use occam_core::steps::check_abort_prefixes;
 use occam_netdb::AttrValue;
-use occam_rollback::{parse_log, LogEntry, OpStatus};
 use occam_spec::{compile, parse_spec, validate, Spec, Strategy, Terminal, TestKind};
 use proptest::prelude::*;
 
@@ -115,24 +115,8 @@ proptest! {
     fn every_compiled_lowering_has_parseable_abort_prefixes(bits in any::<u32>()) {
         let spec = spec_for(bits);
         let steps = validate(&spec).expect("generator emits only valid specs");
-        let typed: Vec<LogEntry> = steps
-            .iter()
-            .filter_map(|s| s.op_type().map(|t| LogEntry::ok(t, s.label())))
-            .collect();
-        for cut in 0..=typed.len() {
-            let mut prefix = typed[..cut].to_vec();
-            prop_assert!(
-                parse_log(&prefix).is_ok(),
-                "abort after step {cut} of {steps:?} must parse"
-            );
-            if let Some(last) = prefix.last_mut() {
-                last.status = OpStatus::Failed;
-                prop_assert!(
-                    parse_log(&prefix).is_ok(),
-                    "failure at step {cut} of {steps:?} must parse"
-                );
-            }
-        }
+        let proof = check_abort_prefixes(&steps);
+        prop_assert!(proof.is_ok(), "{proof:?} in {steps:?}");
     }
 
     /// Rendering a spec to the text syntax and parsing it back

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 const PUSHED_ATTRS: &[&str] = &[
     attrs::FIRMWARE_VERSION,
     attrs::FIRMWARE_BINARY,
-    "CONFIG_VERSION",
+    attrs::CONFIG_VERSION,
 ];
 
 /// One device's pending update: every attribute that must change to move

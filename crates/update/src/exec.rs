@@ -2,25 +2,26 @@
 //!
 //! Each [`Wave`] runs as one ordinary strict-2PL task built with
 //! [`TaskBuilder`](occam_core::TaskBuilder): acquire the wave's devices
-//! as a region, drain (when barriered), write the database attributes,
-//! push configuration, undrain, restore admin status. Because a wave is
-//! a task, a failure anywhere inside it triggers the existing retry and
-//! rollback machinery — and after the final attempt the executor
-//! mechanically applies the suggested rollback plan, so the network
-//! lands on the **previous wave boundary**: a state the synthesizer's
-//! model checker proved safe. Completed waves stay committed; the plan
-//! can be re-synthesized from the current config and resumed.
+//! as a region, lower the wave to its [`Step`] program ([`lower_wave`]),
+//! prove every abort prefix of it parses under the rollback grammar
+//! ([`check_abort_prefixes`]), then run exactly the proved steps.
+//! Because a wave is a task, a failure anywhere inside it triggers the
+//! existing retry and rollback machinery — and after the final attempt
+//! the executor mechanically applies the suggested rollback plan, so the
+//! network lands on the **previous wave boundary**: a state the
+//! synthesizer's model checker proved safe. Completed waves stay
+//! committed; the plan can be re-synthesized from the current config and
+//! resumed.
 //!
 //! Publication points — the moments a new network state becomes
 //! observable — are surfaced through [`WavePoint`] callbacks so a
 //! verifier (the chaos `update` phase) can assert invariants at *every*
 //! intermediate publication, not just the final state.
 
-use crate::diff::UpdateOp;
 use crate::obs::UpdateObs;
 use crate::plan::{Plan, Wave};
-use occam_core::{execute_rollback, CancelToken, RetryPolicy, Runtime, TaskState};
-use occam_emunet::FuncArgs;
+use occam_core::steps::{check_abort_prefixes, Step};
+use occam_core::{execute_rollback, CancelToken, RetryPolicy, Runtime, TaskError, TaskState};
 use occam_netdb::{attrs, AttrValue};
 use std::collections::BTreeMap;
 
@@ -32,42 +33,6 @@ pub enum WavePoint {
     Drained(usize),
     /// Wave `i` committed (post-wave boundary state).
     Committed(usize),
-}
-
-/// The abstract step shapes a wave executes, in order. Barriered waves
-/// conform to the rollback grammar's maintenance shape
-/// `DRAIN → (db|push)* → UNDRAIN`; unbarriered waves are pure database
-/// transactions. `wave_steps` is what the executor runs and what the
-/// planner's property tests check grammar conformance against.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StepKind {
-    /// `f_drain` over the wave region (with `UNDER_MAINTENANCE` status).
-    Drain,
-    /// One per-device attribute write batch.
-    DbWrite,
-    /// `f_push` with `admin=drained` (and the wave's firmware, if any).
-    Push,
-    /// `f_undrain` plus the devices' target admin status.
-    Undrain,
-}
-
-/// The step sequence `execute_plan` runs for `wave`.
-pub fn wave_steps(wave: &Wave) -> Vec<StepKind> {
-    let barrier = wave.barrier || wave.needs_push();
-    let mut steps = Vec::new();
-    if barrier {
-        steps.push(StepKind::Drain);
-    }
-    for _ in attr_batches(&wave.ops) {
-        steps.push(StepKind::DbWrite);
-    }
-    if wave.needs_push() {
-        steps.push(StepKind::Push);
-    }
-    if barrier {
-        steps.push(StepKind::Undrain);
-    }
-    steps
 }
 
 /// Execution tuning.
@@ -211,89 +176,100 @@ fn run_wave(
     opts: &ExecOptions,
     observer: Option<&dyn Fn(WavePoint)>,
 ) -> occam_core::TaskReport {
-    let barrier = wave.barrier || wave.needs_push();
-    let names: Vec<&str> = wave.ops.iter().map(|o| o.device.as_str()).collect();
-    let batches = attr_batches(&wave.ops);
-    let status_targets = status_targets(&wave.ops);
-    let firmware = wave.firmware().map(str::to_string);
-    let pushes = wave.needs_push();
+    let names = wave.devices();
+    let steps = lower_wave(wave);
+    let drained = maintenance_mark();
     let mut builder = rt.task(format!("{}.w{index}", opts.task_prefix));
     if let Some(tok) = &opts.cancel {
         builder = builder.cancel_token(tok.clone());
     }
     builder.retry(opts.retry.clone()).run(|ctx| {
         let region = ctx.network_of_devices(&names)?;
-        if barrier {
-            // Drain opens the offline block (Table 1); the maintenance
-            // status is the first entry of the db_list the push commits,
-            // so an abort anywhere in the block parses as a broken
-            // cfg_change inside DRAIN and rolls back mechanically.
-            region.apply("f_drain")?;
-            region.set(attrs::DEVICE_STATUS, attrs::STATUS_UNDER_MAINTENANCE.into())?;
-            if let Some(obs) = &opts.obs {
-                obs.exec_publications.inc();
+        check_abort_prefixes(&steps)
+            .map_err(|e| TaskError::Failed(format!("wave {index} is not rollback-safe: {e}")))?;
+        for step in &steps {
+            step.run(&region, ctx)?;
+            if *step == drained {
+                if let Some(obs) = &opts.obs {
+                    obs.exec_publications.inc();
+                }
+                if let Some(cb) = observer {
+                    cb(WavePoint::Drained(index));
+                }
             }
-            if let Some(cb) = observer {
-                cb(WavePoint::Drained(index));
-            }
-        }
-        ctx.check_cancelled()?;
-        for (attr, values) in &batches {
-            region.set_per_device(values, attr)?;
-        }
-        if pushes {
-            let args = match &firmware {
-                Some(fw) => FuncArgs::one("admin", "drained").with("firmware", fw),
-                None => FuncArgs::one("admin", "drained"),
-            };
-            region.apply_with("f_push", &args)?;
-        }
-        ctx.check_cancelled()?;
-        if barrier {
-            region.apply("f_undrain")?;
-            region.set_per_device(&status_targets, attrs::DEVICE_STATUS)?;
         }
         region.close();
         Ok(())
     })
 }
 
-/// Groups the wave's attribute writes into per-attribute device→value
-/// batches (the shape `set_per_device` wants), excluding `DEVICE_STATUS`
-/// — admin status is applied at the end of the barrier, not mid-wave.
-fn attr_batches(ops: &[UpdateOp]) -> Vec<(String, BTreeMap<String, AttrValue>)> {
-    let mut by_attr: BTreeMap<String, BTreeMap<String, AttrValue>> = BTreeMap::new();
-    for op in ops {
+/// The status write that completes a barrier's drain: once it commits,
+/// the wave's drained state is published ([`WavePoint::Drained`]).
+fn maintenance_mark() -> Step {
+    Step::Set(
+        attrs::DEVICE_STATUS.into(),
+        attrs::STATUS_UNDER_MAINTENANCE.into(),
+    )
+}
+
+/// Lowers one wave to the program its task runs.
+///
+/// A barriered wave is the rollback grammar's maintenance shape: drain
+/// opens the offline block, the maintenance status leads the `db_list`
+/// the push commits, and every device's post-wave admin status (its
+/// explicit target, `ACTIVE` otherwise) trails the undrain. An
+/// unbarriered wave is a pure database transaction; it writes admin
+/// status only where an op sets one and never defaults an untouched
+/// device to `ACTIVE`.
+pub fn lower_wave(wave: &Wave) -> Vec<Step> {
+    let pushes = wave.needs_push();
+    let barrier = wave.barrier || pushes;
+    // Per-attribute device→value batches, the shape `set_per_device` wants.
+    let mut writes: BTreeMap<&str, BTreeMap<String, AttrValue>> = BTreeMap::new();
+    for op in &wave.ops {
+        if barrier {
+            writes
+                .entry(attrs::DEVICE_STATUS)
+                .or_default()
+                .insert(op.device.clone(), attrs::STATUS_ACTIVE.into());
+        }
         for (attr, value) in &op.sets {
-            if attr == attrs::DEVICE_STATUS {
-                continue;
-            }
-            by_attr
-                .entry(attr.clone())
+            writes
+                .entry(attr)
                 .or_default()
                 .insert(op.device.clone(), value.clone());
         }
     }
-    by_attr.into_iter().collect()
-}
+    let batch = |(attr, values): (&str, _)| Step::SetPerDevice(attr.into(), values);
+    // Admin status is applied at the end of the wave, never mid-wave.
+    let status = writes.remove_entry(attrs::DEVICE_STATUS).map(batch);
 
-/// Every wave device's post-wave admin status: the op's explicit target
-/// when the new config sets one, `ACTIVE` otherwise.
-fn status_targets(ops: &[UpdateOp]) -> BTreeMap<String, AttrValue> {
-    ops.iter()
-        .map(|op| {
-            let target = op
-                .target_status()
-                .cloned()
-                .unwrap_or_else(|| attrs::STATUS_ACTIVE.into());
-            (op.device.clone(), target)
-        })
-        .collect()
+    let mut steps = Vec::new();
+    if barrier {
+        steps.push(Step::Apply("f_drain"));
+        steps.push(maintenance_mark());
+        steps.push(Step::CheckCancelled);
+    }
+    steps.extend(writes.into_iter().map(batch));
+    if barrier {
+        if pushes {
+            steps.push(Step::Push {
+                firmware: wave.firmware().map(str::to_string),
+                drained: true,
+            });
+        }
+        steps.push(Step::CheckCancelled);
+        steps.push(Step::Apply("f_undrain"));
+    }
+    steps.extend(status);
+    steps
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::UpdateOp;
+    use occam_rollback::OpType;
 
     fn op(device: &str, fw: Option<&str>) -> UpdateOp {
         let mut sets = vec![("SNMP_COMMUNITY".into(), AttrValue::from("v2"))];
@@ -308,15 +284,27 @@ mod tests {
     }
 
     #[test]
-    fn barriered_wave_steps_follow_the_maintenance_grammar() {
-        let wave = Wave {
+    fn barriered_wave_follows_the_maintenance_grammar() {
+        let steps = lower_wave(&Wave {
             ops: vec![op("a", Some("fw-2")), op("b", Some("fw-2"))],
             barrier: true,
-        };
-        let steps = wave_steps(&wave);
-        assert_eq!(steps.first(), Some(&StepKind::Drain));
-        assert_eq!(steps.last(), Some(&StepKind::Undrain));
-        assert!(steps.contains(&StepKind::Push));
+        });
+        let typed: Vec<OpType> = steps
+            .iter()
+            .filter_map(|s| s.log_entry().map(|e| e.typ))
+            .collect();
+        use OpType::{DbChange, Drain, PushCfg, Undrain};
+        // DRAIN, status, FIRMWARE_VERSION, SNMP_COMMUNITY, PUSH, UNDRAIN,
+        // status restore.
+        assert_eq!(
+            typed,
+            [Drain, DbChange, DbChange, DbChange, PushCfg, Undrain, DbChange]
+        );
+        assert!(steps.contains(&Step::Push {
+            firmware: Some("fw-2".into()),
+            drained: true
+        }));
+        check_abort_prefixes(&steps).unwrap();
     }
 
     #[test]
@@ -325,13 +313,32 @@ mod tests {
             ops: vec![op("a", None)],
             barrier: false,
         };
-        assert_eq!(wave_steps(&wave), vec![StepKind::DbWrite]);
+        let values = BTreeMap::from([("a".to_string(), AttrValue::from("v2"))]);
+        assert_eq!(
+            lower_wave(&wave),
+            [Step::SetPerDevice("SNMP_COMMUNITY".into(), values)]
+        );
     }
 
     #[test]
     fn status_targets_default_to_active() {
-        let targets = status_targets(&[op("a", None)]);
-        assert_eq!(targets["a"], AttrValue::from(attrs::STATUS_ACTIVE));
+        let wave = Wave {
+            ops: vec![op("a", Some("fw-2"))],
+            barrier: true,
+        };
+        let targets = BTreeMap::from([("a".to_string(), attrs::STATUS_ACTIVE.into())]);
+        assert_eq!(
+            lower_wave(&wave).last(),
+            Some(&Step::SetPerDevice(attrs::DEVICE_STATUS.into(), targets))
+        );
+        // An unbarriered wave never defaults a device it does not park.
+        let wave = Wave {
+            ops: vec![op("a", None)],
+            barrier: false,
+        };
+        assert!(lower_wave(&wave)
+            .iter()
+            .all(|s| !matches!(s, Step::SetPerDevice(a, _) if a == attrs::DEVICE_STATUS)));
     }
 
     #[test]
@@ -339,9 +346,23 @@ mod tests {
         let mut o = op("a", Some("fw-2"));
         o.sets
             .push((attrs::DEVICE_STATUS.into(), attrs::STATUS_DRAINED.into()));
-        let batches = attr_batches(&[o.clone()]);
-        assert!(batches.iter().all(|(a, _)| a != attrs::DEVICE_STATUS));
-        let targets = status_targets(&[o]);
-        assert_eq!(targets["a"], AttrValue::from(attrs::STATUS_DRAINED));
+        let wave = Wave {
+            ops: vec![o, op("b", Some("fw-2"))],
+            barrier: true,
+        };
+        let steps = lower_wave(&wave);
+        let (last, before) = steps.split_last().unwrap();
+        assert!(before
+            .iter()
+            .all(|s| !matches!(s, Step::SetPerDevice(a, _) if a == attrs::DEVICE_STATUS)));
+        // The explicit target where the op sets one, `ACTIVE` otherwise.
+        let targets = BTreeMap::from([
+            ("a".to_string(), AttrValue::from(attrs::STATUS_DRAINED)),
+            ("b".to_string(), AttrValue::from(attrs::STATUS_ACTIVE)),
+        ]);
+        assert_eq!(
+            last,
+            &Step::SetPerDevice(attrs::DEVICE_STATUS.into(), targets)
+        );
     }
 }

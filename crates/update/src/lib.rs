@@ -69,7 +69,7 @@ pub mod obs;
 pub mod plan;
 
 pub use diff::{diff, UpdateOp};
-pub use exec::{execute_plan, wave_steps, ExecOptions, ExecReport, StepKind, WavePoint};
+pub use exec::{execute_plan, lower_wave, ExecOptions, ExecReport, WavePoint};
 pub use invariant::{Checker, ModelState, TrafficClass, Violation, ViolationKind};
 pub use obs::UpdateObs;
 pub use plan::{Plan, PlanError, SynthStats, Synthesizer, Wave};

@@ -8,16 +8,18 @@
 //!   partially-rewritten intermediate state (any subset of the wave)
 //!   must also satisfy the invariants, and every operation must appear
 //!   in exactly one wave.
-//! - **Abort-prefix grammar conformance** — a wave aborted after any
-//!   step leaves an execution log that the rollback grammar (Table 1)
-//!   parses, so a mechanical rollback plan always exists.
+//! - **Abort-prefix grammar conformance** — the program the executor
+//!   lowers each wave to (`lower_wave`, the steps it actually runs),
+//!   aborted after any step, leaves an execution log that the rollback
+//!   grammar (Table 1) parses, so a mechanical rollback plan always
+//!   exists.
 //! - **Determinism** — synthesis is a pure function of `(ops, seed)`,
 //!   and plans under different seeds still verify clean.
 
+use occam_core::steps::check_abort_prefixes;
 use occam_netdb::{attrs, AttrValue, StoreSnapshot, WalRecord};
-use occam_rollback::{parse_log, LogEntry, OpStatus, OpType};
 use occam_topology::{FatTree, Role};
-use occam_update::{diff, wave_steps, StepKind, Synthesizer, TrafficClass, UpdateOp, Wave};
+use occam_update::{diff, lower_wave, Synthesizer, TrafficClass, UpdateOp};
 use proptest::prelude::*;
 
 fn fabric() -> FatTree {
@@ -79,7 +81,7 @@ fn ops_for_masks(ft: &FatTree, push_mask: u64, db_mask: u64) -> Vec<UpdateOp> {
         });
         records.push(WalRecord::SetDeviceAttr {
             name: name.clone(),
-            attr: "CONFIG_VERSION".into(),
+            attr: attrs::CONFIG_VERSION.into(),
             value: "g2".into(),
         });
     }
@@ -100,29 +102,6 @@ fn ops_for_masks(ft: &FatTree, push_mask: u64, db_mask: u64) -> Vec<UpdateOp> {
         });
     }
     diff(&old, &StoreSnapshot::replay(&records))
-}
-
-/// Expands one abstract wave step into the log entries the executor
-/// writes for it (see `run_wave`: the drain barrier carries the
-/// maintenance-status write, the undrain carries the restore).
-fn entries_for(step: StepKind) -> Vec<LogEntry> {
-    match step {
-        StepKind::Drain => vec![
-            LogEntry::ok(OpType::Drain, "apply(f_drain)"),
-            LogEntry::ok(OpType::DbChange, "set(DEVICE_STATUS)"),
-        ],
-        StepKind::DbWrite => vec![LogEntry::ok(OpType::DbChange, "set(attr)")],
-        StepKind::Push => vec![LogEntry::ok(OpType::PushCfg, "apply(f_push)")],
-        StepKind::Undrain => vec![
-            LogEntry::ok(OpType::Undrain, "apply(f_undrain)"),
-            LogEntry::ok(OpType::DbChange, "set(DEVICE_STATUS)"),
-        ],
-    }
-}
-
-/// The full execution log of one wave.
-fn wave_log(wave: &Wave) -> Vec<LogEntry> {
-    wave_steps(wave).into_iter().flat_map(entries_for).collect()
 }
 
 proptest! {
@@ -217,22 +196,9 @@ proptest! {
             .synthesize(&ops)
             .expect("feasible plan");
         for wave in &plan.waves {
-            let log = wave_log(wave);
-            prop_assert!(parse_log(&log).is_ok(), "complete log must parse");
-            for cut in 1..=log.len() {
-                let mut prefix: Vec<LogEntry> = log[..cut].to_vec();
-                prop_assert!(
-                    parse_log(&prefix).is_ok(),
-                    "abort after entry {cut} of {:?} must parse",
-                    wave_steps(wave)
-                );
-                prefix.last_mut().expect("non-empty").status = OpStatus::Failed;
-                prop_assert!(
-                    parse_log(&prefix).is_ok(),
-                    "failure at entry {cut} of {:?} must parse",
-                    wave_steps(wave)
-                );
-            }
+            let steps = lower_wave(wave);
+            let proof = check_abort_prefixes(&steps);
+            prop_assert!(proof.is_ok(), "{proof:?} in {steps:?}");
         }
     }
 

@@ -68,10 +68,6 @@ pub struct ReplChaosReport {
 
 impl ReplChaosReport {
     fn to_json(&self) -> String {
-        let first_violation = match &self.first_violation {
-            Some(v) => format!("\"{}\"", json_escape(v)),
-            None => "null".to_string(),
-        };
         format!(
             "{{\"writes\":{},\"acked_before_kill\":{},\"unacked_at_kill\":{},\"partitions\":{},\"rejoins\":{},\"promoted\":{},\"lost_acked\":{},\"violations\":{},\"first_violation\":{}}}",
             self.writes,
@@ -82,7 +78,7 @@ impl ReplChaosReport {
             self.promoted,
             self.lost_acked,
             self.violations,
-            first_violation
+            violation_json(&self.first_violation)
         )
     }
 }
@@ -119,10 +115,6 @@ pub struct UpdateChaosReport {
 
 impl UpdateChaosReport {
     fn to_json(&self) -> String {
-        let first_violation = match &self.first_violation {
-            Some(v) => format!("\"{}\"", json_escape(v)),
-            None => "null".to_string(),
-        };
         format!(
             "{{\"plans\":{},\"waves_planned\":{},\"publications_checked\":{},\"cancelled_runs\":{},\"resumed_waves\":{},\"device_faults\":{},\"retries\":{},\"concurrent_runs\":{},\"torn_configs\":{},\"violations\":{},\"first_violation\":{}}}",
             self.plans,
@@ -135,7 +127,7 @@ impl UpdateChaosReport {
             self.concurrent_runs,
             self.torn_configs,
             self.violations,
-            first_violation
+            violation_json(&self.first_violation)
         )
     }
 }
@@ -170,10 +162,6 @@ pub struct OccChaosReport {
 
 impl OccChaosReport {
     fn to_json(&self) -> String {
-        let first_violation = match &self.first_violation {
-            Some(v) => format!("\"{}\"", json_escape(v)),
-            None => "null".to_string(),
-        };
         format!(
             "{{\"increment_tasks\":{},\"lost_updates\":{},\"certified_commits\":{},\"fallback_tasks\":{},\"fallbacks_fired\":{},\"exhausted_retries\":{},\"device_faults\":{},\"retries\":{},\"violations\":{},\"first_violation\":{}}}",
             self.increment_tasks,
@@ -185,7 +173,7 @@ impl OccChaosReport {
             self.device_faults,
             self.retries,
             self.violations,
-            first_violation
+            violation_json(&self.first_violation)
         )
     }
 }
@@ -220,10 +208,6 @@ pub struct SpecChaosReport {
 
 impl SpecChaosReport {
     fn to_json(&self) -> String {
-        let first_violation = match &self.first_violation {
-            Some(v) => format!("\"{}\"", json_escape(v)),
-            None => "null".to_string(),
-        };
         format!(
             "{{\"specs_run\":{},\"completed\":{},\"rolled_back\":{},\"kills\":{},\"converged\":{},\"audits\":{},\"incremental_mismatches\":{},\"violations\":{},\"first_violation\":{}}}",
             self.specs_run,
@@ -234,7 +218,7 @@ impl SpecChaosReport {
             self.audits,
             self.incremental_mismatches,
             self.violations,
-            first_violation
+            violation_json(&self.first_violation)
         )
     }
 }
@@ -283,16 +267,13 @@ pub struct CampaignReport {
     pub spec: Option<SpecChaosReport>,
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// A `first_violation` field as a JSON value: the escaped string, or
+/// `null`.
+fn violation_json(first_violation: &Option<String>) -> String {
+    match first_violation {
+        Some(v) => format!("\"{}\"", occam_obs::json_escape(v)),
+        None => "null".to_string(),
+    }
 }
 
 impl CampaignReport {
@@ -319,10 +300,6 @@ impl CampaignReport {
             Some(s) => s.to_json(),
             None => "null".to_string(),
         };
-        let first_violation = match &self.first_violation {
-            Some(v) => format!("\"{}\"", json_escape(v)),
-            None => "null".to_string(),
-        };
         format!(
             "{{\"seed\":{},\"fault_rate\":{},\"tasks\":{},\"completed\":{},\"rolled_back\":{},\"retries\":{},\"retry_rollback_failed\":{},\"db_faults\":{},\"device_faults\":{},\"latency_spikes\":{},\"stuck_hits\":{},\"crashes\":{},\"invariant_violations\":{},\"first_violation\":{},\"gateway\":{},\"repl\":{},\"update\":{},\"occ\":{},\"spec\":{}}}",
             self.seed,
@@ -338,7 +315,7 @@ impl CampaignReport {
             self.stuck_hits,
             self.crashes,
             self.invariant_violations,
-            first_violation,
+            violation_json(&self.first_violation),
             gateway,
             repl,
             update,

@@ -37,9 +37,7 @@
 //!
 //! - [`TaskBuilder::run`] — synchronous, on the calling thread;
 //! - [`TaskBuilder::spawn`] — a dedicated thread (tests, one-shot tools);
-//! - [`TaskBuilder::spawn_pooled`] — the bounded worker pool (services);
-//! - [`TaskBuilder::run_once`] — synchronous for `FnOnce` programs that
-//!   cannot be re-executed (retry is disabled).
+//! - [`TaskBuilder::spawn_pooled`] — the bounded worker pool (services).
 //!
 //! Retry semantics: `run`/`spawn`/`spawn_pooled` take `FnMut` programs so
 //! a [`RetryPolicy`] can re-execute them after *transient* aborts
@@ -49,7 +47,7 @@
 //! itself fails, retrying stops and the aborted report is surfaced for
 //! operator recovery.
 
-use crate::pool::PooledHandle;
+use crate::pool::{PoolJob, PooledHandle};
 use crate::retry::RetryPolicy;
 use crate::runtime::Runtime;
 use crate::task::{CancelToken, TaskCtx, TaskReport};
@@ -165,20 +163,6 @@ impl TaskBuilder {
         )
     }
 
-    /// Runs a `FnOnce` program synchronously. Because the program cannot
-    /// be called twice, any configured retry policy is ignored (single
-    /// attempt) and the task always executes pessimistically — OCC needs
-    /// re-execution for both conflict retries and the 2PL fallback.
-    /// Prefer [`TaskBuilder::run`] with a re-runnable program when
-    /// retries or [`Isolation::Occ`] matter.
-    pub fn run_once<F>(self, program: F) -> TaskReport
-    where
-        F: FnOnce(&TaskCtx) -> TaskResult<()>,
-    {
-        self.rt
-            .execute_attempt(&self.name, self.urgent, self.cancel, false, program)
-    }
-
     /// Spawns the task on a dedicated OS thread; the handle yields its
     /// report. One thread per task — fine for tests and one-shot tooling;
     /// services should use [`TaskBuilder::spawn_pooled`].
@@ -206,8 +190,6 @@ impl TaskBuilder {
     where
         F: FnMut(&TaskCtx) -> TaskResult<()> + Send + 'static,
     {
-        let handle = PooledHandle::new();
-        let filler = handle.clone();
         let TaskBuilder {
             rt,
             name,
@@ -216,10 +198,18 @@ impl TaskBuilder {
             retry,
             isolation,
         } = self;
-        rt.spawn_pooled(urgent, move |rt| {
-            filler.fill(rt.execute_with_policy(&name, urgent, cancel, &retry, isolation, program));
-        });
-        handle
+        let worker_rt = rt.clone();
+        let job = PoolJob {
+            urgent,
+            cancel: cancel.clone(),
+            run: Box::new(move || {
+                worker_rt.execute_with_policy(&name, urgent, cancel, &retry, isolation, program)
+            }),
+        };
+        rt.enqueue_pooled(None, vec![job])
+            .handles
+            .pop()
+            .expect("an enqueue without a bound admits every job")
     }
 }
 
@@ -343,16 +333,5 @@ mod tests {
         let p = rt.task("pooled").urgent().spawn_pooled(|_| Ok(()));
         assert_eq!(p.wait().state, TaskState::Completed);
         assert_eq!(rt.obs().counter_value("core.tasks.completed"), 2);
-    }
-
-    #[test]
-    fn run_once_accepts_fnonce_programs() {
-        let rt = crate::test_support::tiny_runtime();
-        let owned = String::from("moved-into-call");
-        let report = rt.task("once").run_once(move |_| {
-            drop(owned);
-            Ok(())
-        });
-        assert_eq!(report.state, TaskState::Completed);
     }
 }

@@ -70,7 +70,7 @@ pub use builder::{Isolation, TaskBuilder};
 pub use error::{TaskError, TaskResult};
 pub use network::Network;
 pub use occam_rollback::RollbackPlan;
-pub use pool::{PoolStats, PooledHandle, PooledJob};
+pub use pool::{Admission, JobState, PoolJob, PoolStats, PooledHandle};
 pub use recovery::{execute_rollback, RecoveryError};
 pub use retry::RetryPolicy;
 pub use runtime::Runtime;

@@ -1,36 +1,68 @@
-//! The runtime's bounded worker pool: the service-grade replacement for
-//! spawn-per-task submission.
+//! The runtime's one bounded executor: a fixed worker pool, one queue
+//! with an urgent fast lane, admission against that queue, and the
+//! lifecycle record of every job it accepts.
 //!
 //! [`TaskBuilder::spawn`](crate::TaskBuilder::spawn) takes one unbounded
 //! OS thread per task, which is fine for tests but not for a shared
 //! management-plane service where many operators submit long-running
-//! workflows concurrently. The pool runs
-//! tasks on at most `pool_size` lazily-spawned worker threads; excess
-//! submissions wait in a FIFO queue (urgent submissions in a fast lane
-//! polled first, matching the scheduler's urgent lock priority).
+//! workflows concurrently. The pool runs tasks on at most `pool_size`
+//! lazily-spawned worker threads; excess submissions wait in a FIFO
+//! queue (urgent submissions in a fast lane polled first, matching the
+//! scheduler's urgent lock priority).
 //!
-//! The pool deliberately does **not** reject work — admission control
-//! (bounding the queue and answering `Busy`) belongs to the layer in
-//! front of the runtime (see the `occam-gateway` crate), which watches
-//! [`PoolStats::queued`] and applies its own cap.
+//! There is one way in, [`Runtime::enqueue_pooled`], with two callers.
+//! [`TaskBuilder::spawn_pooled`](crate::TaskBuilder::spawn_pooled)
+//! passes no bound and is never refused. A service front end (the
+//! `occam-gateway` engine) passes its queue cap: under the pool lock the
+//! enqueue admits the longest prefix of the batch that fits against the
+//! queue's own length, or nothing once [`Runtime::close_pool`] has been
+//! called, and says which in its [`Admission`] — so "full" and "closed"
+//! are decided where the queue lives, in the critical section that
+//! admits.
+//!
+//! Every admitted job gets a [`PooledHandle`]: the one record of its
+//! lifecycle (`Queued → Running → Done(report)`, advanced by the worker
+//! that runs it) and the owner of its [`CancelToken`].
 //!
 //! Worker threads hold only the shared pool state, never the runtime
 //! (each job closure captures its own `Runtime` clone), so dropping the
 //! last external `Runtime` handle shuts the workers down.
 
 use crate::runtime::Runtime;
-use crate::task::TaskReport;
+use crate::task::{CancelToken, TaskReport};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// One unit of work for [`Runtime::enqueue_pooled`].
+pub struct PoolJob {
+    /// Urgent jobs take the fast lane (dequeued before ordinary ones).
+    pub urgent: bool,
+    /// The token `run` executes its task under; [`PooledHandle::cancel`]
+    /// sets it.
+    pub cancel: CancelToken,
+    /// Runs exactly one task to its final report, on a pool worker.
+    pub run: Box<dyn FnOnce() -> TaskReport + Send + 'static>,
+}
 
-/// A boxed pool job as accepted by [`Runtime::spawn_pooled_batch`]: the
-/// closure receives the runtime exactly like [`Runtime::spawn_pooled`]'s
-/// generic parameter, but boxed so heterogeneous batches can share one
-/// `Vec`.
-pub type PooledJob = Box<dyn FnOnce(&Runtime) + Send + 'static>;
+/// What one [`Runtime::enqueue_pooled`] call admitted.
+pub struct Admission {
+    /// One handle per admitted job, in submission order: the longest
+    /// prefix of the batch that fit. The rest of the batch was dropped
+    /// without running.
+    pub handles: Vec<PooledHandle>,
+    /// Queue length right after the admission.
+    pub queued: usize,
+    /// The bounded door was closed ([`Runtime::close_pool`]); nothing
+    /// was admitted.
+    pub closed: bool,
+}
+
+struct Queued {
+    urgent: bool,
+    handle: PooledHandle,
+    run: Box<dyn FnOnce() -> TaskReport + Send + 'static>,
+}
 
 /// Shared state between a runtime and its pool workers.
 pub(crate) struct PoolShared {
@@ -40,14 +72,22 @@ pub(crate) struct PoolShared {
 
 struct PoolState {
     size: usize,
-    normal: VecDeque<Job>,
-    urgent: VecDeque<Job>,
+    normal: VecDeque<Queued>,
+    urgent: VecDeque<Queued>,
     idle: usize,
     spawned: usize,
     active: usize,
     peak_active: usize,
     executed: u64,
+    /// Bounded admission refused from now on ([`Runtime::close_pool`]).
+    closed: bool,
     shutdown: bool,
+}
+
+impl PoolState {
+    fn queued(&self) -> usize {
+        self.normal.len() + self.urgent.len()
+    }
 }
 
 impl PoolShared {
@@ -62,6 +102,7 @@ impl PoolShared {
                 active: 0,
                 peak_active: 0,
                 executed: 0,
+                closed: false,
                 shutdown: false,
             }),
             cv: Condvar::new(),
@@ -75,46 +116,41 @@ impl PoolShared {
         self.cv.notify_all();
     }
 
-    /// Enqueues a batch of jobs under one lock acquisition. The
-    /// submission hot path (the gateway reactor decodes every frame a
-    /// readability event delivers and admits them together) would
-    /// otherwise cross the pool mutex once per task; batching makes the
-    /// admission cost per event O(1) lock crossings plus O(batch) pushes.
-    fn enqueue_batch(self: &Arc<Self>, jobs: Vec<(bool, Job)>) {
-        if jobs.is_empty() {
-            return;
-        }
-        let spawn = {
-            let mut st = self.state.lock();
-            if st.shutdown {
-                // Only reachable if jobs are enqueued while the last
-                // runtime handle is dropping; run them inline for
-                // correctness rather than losing them.
-                drop(st);
-                for (_, job) in jobs {
-                    job();
-                }
-                return;
-            }
-            for (urgent, job) in jobs {
-                if urgent {
-                    st.urgent.push_back(job);
-                } else {
-                    st.normal.push_back(job);
-                }
-            }
-            // Spawn enough workers to absorb the backlog the idle ones
-            // cannot. Gating on `idle == 0` alone would let a single idle
-            // worker mask a whole burst: every enqueue in the burst would
-            // see `idle == 1` and notify the same worker, serializing N
-            // jobs on one thread despite spare pool capacity.
-            let backlog = st.normal.len() + st.urgent.len();
-            let want = backlog
-                .saturating_sub(st.idle)
-                .min(st.size.saturating_sub(st.spawned));
-            st.spawned += want;
-            want
+    /// Admits a prefix of `jobs` under one lock acquisition (see
+    /// [`Runtime::enqueue_pooled`]). The submission hot path (the gateway
+    /// reactor decodes every frame a readability event delivers and
+    /// admits them together) would otherwise cross the pool mutex once
+    /// per task; batching makes the admission cost per event O(1) lock
+    /// crossings plus O(batch) pushes.
+    fn enqueue(self: &Arc<Self>, bound: Option<usize>, mut jobs: Vec<Queued>) -> Admission {
+        let mut st = self.state.lock();
+        let (room, closed) = match bound {
+            None => (usize::MAX, false),
+            Some(_) if st.closed => (0, true),
+            Some(cap) => (cap.saturating_sub(st.queued()), false),
         };
+        let shed = jobs.split_off(room.min(jobs.len()));
+        let mut handles = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            handles.push(job.handle.clone());
+            if job.urgent {
+                st.urgent.push_back(job);
+            } else {
+                st.normal.push_back(job);
+            }
+        }
+        // Spawn enough workers to absorb the backlog the idle ones
+        // cannot. Gating on `idle == 0` alone would let a single idle
+        // worker mask a whole burst: every enqueue in the burst would
+        // see `idle == 1` and notify the same worker, serializing N
+        // jobs on one thread despite spare pool capacity.
+        let queued = st.queued();
+        let spawn = queued
+            .saturating_sub(st.idle)
+            .min(st.size.saturating_sub(st.spawned));
+        st.spawned += spawn;
+        drop(st);
+        drop(shed);
         for _ in 0..spawn {
             let shared = Arc::clone(self);
             std::thread::Builder::new()
@@ -122,7 +158,14 @@ impl PoolShared {
                 .spawn(move || worker_loop(shared))
                 .expect("spawn pool worker");
         }
-        self.cv.notify_all();
+        if !handles.is_empty() {
+            self.cv.notify_all();
+        }
+        Admission {
+            handles,
+            queued,
+            closed,
+        }
     }
 
     fn stats(&self) -> PoolStats {
@@ -132,14 +175,14 @@ impl PoolShared {
             spawned: st.spawned,
             active: st.active,
             peak_active: st.peak_active,
-            queued: st.normal.len() + st.urgent.len(),
+            queued: st.queued(),
             executed: st.executed,
         }
     }
 
     fn drain(&self) {
         let mut st = self.state.lock();
-        while st.active > 0 || !st.normal.is_empty() || !st.urgent.is_empty() {
+        while st.active > 0 || st.queued() > 0 {
             self.cv.wait(&mut st);
         }
     }
@@ -147,7 +190,7 @@ impl PoolShared {
 
 fn worker_loop(shared: Arc<PoolShared>) {
     loop {
-        let job = {
+        let Queued { handle, run, .. } = {
             let mut st = shared.state.lock();
             loop {
                 if let Some(j) = st.urgent.pop_front().or_else(|| st.normal.pop_front()) {
@@ -163,16 +206,19 @@ fn worker_loop(shared: Arc<PoolShared>) {
                 st.idle -= 1;
             }
         };
+        handle.set(JobState::Running);
         // Panics inside the job would silently kill this worker and wedge
         // `drain`; `execute_attempt` already contains program panics, so
         // this only guards bookkeeping bugs in submission wrappers.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+        if let Ok(report) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+            handle.set(JobState::Done(Box::new(report)));
+        }
         {
             let mut st = shared.state.lock();
             st.active -= 1;
             st.executed += 1;
         }
-        // Wake queued-job pollers and `drain` waiters.
+        // Wake `drain` waiters.
         shared.cv.notify_all();
     }
 }
@@ -194,14 +240,30 @@ pub struct PoolStats {
     pub executed: u64,
 }
 
-#[derive(Default)]
-struct HandleShared {
-    slot: Mutex<Option<TaskReport>>,
-    cv: Condvar,
+/// Where a pooled job is in its life. Only the worker that runs the job
+/// advances it, and only forwards.
+#[derive(Clone, Debug)]
+pub enum JobState {
+    /// Admitted, waiting for a worker.
+    Queued,
+    /// A worker has taken the job off the queue.
+    Running,
+    /// The task reached a terminal state; this is its final report.
+    Done(Box<TaskReport>),
 }
 
-/// A handle to a task submitted through
-/// [`TaskBuilder::spawn_pooled`](crate::TaskBuilder::spawn_pooled).
+struct HandleShared {
+    state: Mutex<JobState>,
+    cv: Condvar,
+    cancel: CancelToken,
+    /// The runtime's lock-table condvar, for waking a cancelled task
+    /// that is blocked in lock acquisition.
+    lock_waiters: Arc<Condvar>,
+}
+
+/// The lifecycle record of one job admitted by
+/// [`Runtime::enqueue_pooled`] (and so of every
+/// [`TaskBuilder::spawn_pooled`](crate::TaskBuilder::spawn_pooled) task).
 ///
 /// Unlike a `JoinHandle`, waiting never propagates panics — the runtime
 /// converts program panics into failed reports.
@@ -211,23 +273,23 @@ pub struct PooledHandle {
 }
 
 impl PooledHandle {
-    pub(crate) fn new() -> PooledHandle {
-        PooledHandle {
-            shared: Arc::new(HandleShared::default()),
-        }
+    fn set(&self, state: JobState) {
+        *self.shared.state.lock() = state;
+        self.shared.cv.notify_all();
     }
 
-    pub(crate) fn fill(&self, report: TaskReport) {
-        *self.shared.slot.lock() = Some(report);
-        self.shared.cv.notify_all();
+    /// Reads the job's current state in place (a finished job's report
+    /// is not cloned).
+    pub fn with_state<R>(&self, f: impl FnOnce(&JobState) -> R) -> R {
+        f(&self.shared.state.lock())
     }
 
     /// Blocks until the task reaches a terminal state; returns its report.
     pub fn wait(&self) -> TaskReport {
-        let mut g = self.shared.slot.lock();
+        let mut g = self.shared.state.lock();
         loop {
-            if let Some(r) = g.as_ref() {
-                return r.clone();
+            if let JobState::Done(r) = &*g {
+                return r.as_ref().clone();
             }
             self.shared.cv.wait(&mut g);
         }
@@ -235,12 +297,25 @@ impl PooledHandle {
 
     /// The report, if the task has already finished (non-blocking).
     pub fn try_report(&self) -> Option<TaskReport> {
-        self.shared.slot.lock().clone()
+        self.with_state(|s| match s {
+            JobState::Done(r) => Some(r.as_ref().clone()),
+            _ => None,
+        })
     }
 
-    /// Whether the task has reached a terminal state.
-    pub fn is_done(&self) -> bool {
-        self.shared.slot.lock().is_some()
+    /// Requests cooperative cancellation: sets the task's token and wakes
+    /// blocked lock waiters so a task waiting for a region observes it.
+    /// A job still queued never runs its program and ends with a
+    /// [`TaskError::Cancelled`](crate::TaskError::Cancelled) report; a
+    /// running one aborts at its next checkpoint. Returns `false`, and
+    /// does nothing, if the job has already finished.
+    pub fn cancel(&self) -> bool {
+        if self.with_state(|s| matches!(s, JobState::Done(_))) {
+            return false;
+        }
+        self.shared.cancel.cancel();
+        self.shared.lock_waiters.notify_all();
+        true
     }
 }
 
@@ -269,37 +344,46 @@ impl Runtime {
         true
     }
 
-    /// Runs `job` on the worker pool. `urgent` jobs take the fast lane
-    /// (dequeued before ordinary ones). The job receives the runtime and
-    /// is expected to run exactly one task; this is the primitive under
-    /// [`TaskBuilder::spawn_pooled`](crate::TaskBuilder::spawn_pooled),
-    /// exposed for frontends (the gateway)
-    /// that need their own bookkeeping around task execution.
-    pub fn spawn_pooled<F>(&self, urgent: bool, job: F)
-    where
-        F: FnOnce(&Runtime) + Send + 'static,
-    {
-        let rt = self.clone();
-        self.pool_shared()
-            .enqueue_batch(vec![(urgent, Box::new(move || job(&rt)))]);
-    }
-
-    /// Runs a whole batch of jobs on the worker pool, crossing the pool
-    /// lock once for the entire batch instead of once per job. Jobs keep
-    /// their relative order within each urgency lane. This is the batch
-    /// analogue of [`Runtime::spawn_pooled`], used by frontends that
-    /// admit pipelined submissions (the gateway reactor decodes every
-    /// complete frame a readiness event delivers and admits them as one
-    /// batch).
-    pub fn spawn_pooled_batch(&self, jobs: Vec<(bool, PooledJob)>) {
-        let batch: Vec<(bool, Job)> = jobs
+    /// The one way onto the worker pool. Crosses the pool lock once for
+    /// the whole batch; jobs keep their relative order within each
+    /// urgency lane.
+    ///
+    /// With `bound: None` every job is admitted. With `Some(cap)` the
+    /// longest prefix of `jobs` that keeps the queue (both lanes, jobs
+    /// already running not counted) at or under `cap` is admitted and the
+    /// rest are dropped unrun — or the whole batch is, once
+    /// [`Runtime::close_pool`] has been called. The [`Admission`] says
+    /// which.
+    pub fn enqueue_pooled(&self, bound: Option<usize>, jobs: Vec<PoolJob>) -> Admission {
+        let lock_waiters = self.lock_waiters();
+        let jobs = jobs
             .into_iter()
-            .map(|(urgent, f)| {
-                let rt = self.clone();
-                (urgent, Box::new(move || f(&rt)) as Job)
+            .map(|job| {
+                let handle = PooledHandle {
+                    shared: Arc::new(HandleShared {
+                        state: Mutex::new(JobState::Queued),
+                        cv: Condvar::new(),
+                        cancel: job.cancel,
+                        lock_waiters: Arc::clone(&lock_waiters),
+                    }),
+                };
+                Queued {
+                    urgent: job.urgent,
+                    handle,
+                    run: job.run,
+                }
             })
             .collect();
-        self.pool_shared().enqueue_batch(batch);
+        self.pool_shared().enqueue(bound, jobs)
+    }
+
+    /// Closes the bounded door for good: every later
+    /// [`Runtime::enqueue_pooled`] with a bound admits nothing and
+    /// reports `closed`. Decided under the pool lock, so a batch is
+    /// either in the queue before a following [`Runtime::drain_pool`]
+    /// looks at it, or refused.
+    pub fn close_pool(&self) {
+        self.pool_shared().state.lock().closed = true;
     }
 
     /// A snapshot of the worker pool (all zeros if it never started).
@@ -309,8 +393,9 @@ impl Runtime {
     }
 
     /// Blocks until the worker pool is quiescent: no queued and no active
-    /// jobs. Used for graceful drain-then-shutdown. New submissions during
-    /// the wait extend it; stop submitting first.
+    /// jobs, and so every admitted job's handle is `Done`. Used for
+    /// graceful drain-then-shutdown. New submissions during the wait
+    /// extend it; close the door first.
     pub fn drain_pool(&self) {
         let pool = {
             let slot = self.pool_slot().lock();
@@ -328,6 +413,43 @@ mod tests {
     use crate::task::{CancelToken, TaskState};
     use crate::TaskError;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A latch jobs park on until the test opens it.
+    #[derive(Clone, Default)]
+    struct Gate(Arc<(Mutex<bool>, Condvar)>);
+
+    impl Gate {
+        fn wait(&self) {
+            let (l, c) = &*self.0;
+            let mut open = l.lock();
+            while !*open {
+                c.wait(&mut open);
+            }
+        }
+
+        fn open(&self) {
+            let (l, c) = &*self.0;
+            *l.lock() = true;
+            c.notify_all();
+        }
+    }
+
+    /// A one-worker runtime whose worker is parked on the returned gate,
+    /// so everything enqueued next stays queued until the gate opens.
+    fn parked_runtime() -> (Runtime, Gate, PooledHandle) {
+        let rt = crate::test_support::tiny_runtime();
+        assert!(rt.configure_pool(1));
+        let gate = Gate::default();
+        let g = gate.clone();
+        let blocker = rt.task("blocker").spawn_pooled(move |_| {
+            g.wait();
+            Ok(())
+        });
+        while rt.pool_stats().active == 0 {
+            std::thread::yield_now();
+        }
+        (rt, gate, blocker)
+    }
 
     #[test]
     fn pooled_submissions_complete_and_bound_threads() {
@@ -406,24 +528,9 @@ mod tests {
 
     #[test]
     fn urgent_jobs_take_the_fast_lane() {
-        let rt = crate::test_support::tiny_runtime();
-        assert!(rt.configure_pool(1));
+        // The single worker is occupied, so the next two submissions queue.
+        let (rt, gate, blocker) = parked_runtime();
         let order = Arc::new(Mutex::new(Vec::<&'static str>::new()));
-        // Occupy the single worker so the next two submissions queue.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        let blocker = rt.task("blocker").spawn_pooled(move |_| {
-            let (l, c) = &*g;
-            let mut open = l.lock();
-            while !*open {
-                c.wait(&mut open);
-            }
-            Ok(())
-        });
-        // Wait until the blocker actually occupies the worker.
-        while rt.pool_stats().active == 0 {
-            std::thread::yield_now();
-        }
         let o1 = Arc::clone(&order);
         let normal = rt.task("normal").spawn_pooled(move |_| {
             o1.lock().push("normal");
@@ -434,11 +541,7 @@ mod tests {
             o2.lock().push("urgent");
             Ok(())
         });
-        {
-            let (l, c) = &*gate;
-            *l.lock() = true;
-            c.notify_all();
-        }
+        gate.open();
         blocker.wait();
         normal.wait();
         urgent.wait();
@@ -471,18 +574,14 @@ mod tests {
     fn cancel_unblocks_task_waiting_for_lock() {
         let rt = crate::test_support::tiny_runtime();
         assert!(rt.configure_pool(2));
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
+        let gate = Gate::default();
+        let g = gate.clone();
         let locked = Arc::new(AtomicUsize::new(0));
         let l2 = Arc::clone(&locked);
         let holder = rt.task("holder").spawn_pooled(move |ctx| {
             let _net = ctx.network("dc01.pod00.*")?;
             l2.store(1, Ordering::SeqCst);
-            let (l, c) = &*g;
-            let mut open = l.lock();
-            while !*open {
-                c.wait(&mut open);
-            }
+            g.wait();
             Ok(())
         });
         // Wait until the holder actually holds the region before submitting
@@ -500,19 +599,16 @@ mod tests {
                 let _net = ctx.network("dc01.pod00.*")?;
                 Ok(())
             });
-        // Let the waiter actually block, then cancel it.
+        // Let the waiter actually block, then cancel it through its handle
+        // (which owns the builder's token and wakes lock waiters).
         std::thread::sleep(std::time::Duration::from_millis(60));
-        token.cancel();
-        rt.wake_lock_waiters();
+        assert!(waiter.cancel());
+        assert!(token.is_cancelled());
         let report = waiter.wait();
         assert_eq!(report.state, TaskState::Aborted);
         assert!(matches!(report.error, Some(TaskError::Cancelled)));
         // The holder is unaffected.
-        {
-            let (l, c) = &*gate;
-            *l.lock() = true;
-            c.notify_all();
-        }
+        gate.open();
         assert_eq!(holder.wait().state, TaskState::Completed);
         assert_eq!(rt.active_objects(), 0, "cancelled task released its refs");
     }
@@ -533,5 +629,99 @@ mod tests {
         let good = rt.task("good").spawn_pooled(|_| Ok(()));
         assert_eq!(good.wait().state, TaskState::Completed);
         assert!(rt.pool_stats().spawned <= 1);
+    }
+
+    /// A job that runs one no-op task and bumps `ran` from inside it.
+    fn counting_job(rt: &Runtime, ran: &Arc<AtomicUsize>) -> PoolJob {
+        let (rt, ran) = (rt.clone(), Arc::clone(ran));
+        let cancel = CancelToken::new();
+        PoolJob {
+            urgent: false,
+            cancel: cancel.clone(),
+            run: Box::new(move || {
+                rt.task("counted").cancel_token(cancel).run(|_| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    Ok(())
+                })
+            }),
+        }
+    }
+
+    #[test]
+    fn bounded_enqueue_admits_a_prefix_and_reports_the_count() {
+        let (rt, gate, blocker) = parked_runtime();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let batch = |n: usize| (0..n).map(|_| counting_job(&rt, &ran)).collect::<Vec<_>>();
+        // The running blocker is not in the queue: a cap of 2 has room
+        // for two of four.
+        let first = rt.enqueue_pooled(Some(2), batch(4));
+        assert_eq!(
+            (first.handles.len(), first.queued, first.closed),
+            (2, 2, false)
+        );
+        assert_eq!(rt.pool_stats().queued, 2);
+        // Full: the bounded door admits nothing, the unbounded one does.
+        let full = rt.enqueue_pooled(Some(2), batch(3));
+        assert_eq!(
+            (full.handles.len(), full.queued, full.closed),
+            (0, 2, false)
+        );
+        let unbounded = rt.enqueue_pooled(None, batch(1));
+        assert_eq!((unbounded.handles.len(), unbounded.queued), (1, 3));
+        // Closed: refused even with room to spare; `spawn_pooled` is not.
+        rt.close_pool();
+        let refused = rt.enqueue_pooled(Some(64), batch(2));
+        assert!(refused.closed && refused.handles.is_empty());
+        let late = rt.task("late").spawn_pooled(|_| Ok(()));
+        gate.open();
+        rt.drain_pool();
+        assert_eq!(blocker.wait().state, TaskState::Completed);
+        assert_eq!(late.wait().state, TaskState::Completed);
+        // Exactly the admitted jobs ran; the shed ones were dropped.
+        assert_eq!(ran.load(Ordering::SeqCst), 3);
+        for h in first.handles.iter().chain(&unbounded.handles) {
+            assert!(h.with_state(|s| matches!(s, JobState::Done(_))));
+        }
+    }
+
+    #[test]
+    fn handle_is_queued_then_running_then_done() {
+        let (rt, gate, _blocker) = parked_runtime();
+        let inner = Gate::default();
+        let g = inner.clone();
+        let h = rt.task("observed").spawn_pooled(move |_| {
+            g.wait();
+            Ok(())
+        });
+        assert!(h.with_state(|s| matches!(s, JobState::Queued)));
+        assert!(h.try_report().is_none());
+        gate.open();
+        // The worker marks the job Running when it pops it; the program
+        // then parks on `inner`, so Running is observable, not a blink.
+        while h.with_state(|s| matches!(s, JobState::Queued)) {
+            std::thread::yield_now();
+        }
+        assert!(h.with_state(|s| matches!(s, JobState::Running)));
+        inner.open();
+        assert_eq!(h.wait().state, TaskState::Completed);
+        assert!(h.with_state(|s| matches!(s, JobState::Done(_))));
+    }
+
+    #[test]
+    fn cancel_on_a_queued_handle_never_runs_the_program() {
+        let (rt, gate, _blocker) = parked_runtime();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let r2 = Arc::clone(&ran);
+        let h = rt.task("cancelled-in-queue").spawn_pooled(move |_| {
+            r2.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        });
+        assert!(h.cancel(), "a queued job is still live");
+        gate.open();
+        let report = h.wait();
+        assert_eq!(report.state, TaskState::Aborted);
+        assert!(matches!(report.error, Some(TaskError::Cancelled)));
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "program must not run");
+        assert!(!h.cancel(), "a finished job is not cancellable");
     }
 }

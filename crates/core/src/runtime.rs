@@ -91,7 +91,9 @@ pub(crate) struct LockState {
 
 pub(crate) struct LockTable {
     pub state: Mutex<LockState>,
-    pub cv: Condvar,
+    /// Shared with every [`PooledHandle`](crate::PooledHandle) so its
+    /// `cancel()` can wake a task blocked in `acquire`.
+    pub cv: Arc<Condvar>,
 }
 
 pub(crate) struct Inner {
@@ -168,7 +170,7 @@ impl Runtime {
                         sched: Scheduler::with_obs(policy, reg),
                         aborted: HashSet::new(),
                     }),
-                    cv: Condvar::new(),
+                    cv: Arc::new(Condvar::new()),
                 },
                 cache: PatternCache::default(),
                 next_task: AtomicU64::new(1),
@@ -228,6 +230,10 @@ impl Runtime {
             Some(r) if self.inner.certifier.lock().is_none() => r.read_view(),
             _ => self.inner.db.query_read_view(),
         }
+    }
+
+    pub(crate) fn lock_waiters(&self) -> Arc<Condvar> {
+        Arc::clone(&self.inner.locks.cv)
     }
 
     pub(crate) fn pool_slot(&self) -> &Mutex<Option<Arc<PoolShared>>> {

@@ -1,47 +1,52 @@
-//! The gateway execution engine: admission control in front of the
-//! runtime's bounded worker pool.
+//! The gateway execution engine: tickets and wire concerns in front of
+//! the runtime's one bounded executor (`occam_core::pool`).
 //!
 //! The engine is the piece that turns the library runtime into a
-//! *service*. It owns the admission state machine:
+//! *service*. A submission goes through:
 //!
 //! ```text
 //!            submit
 //!              │
 //!   unknown ◄──┼──► bad scope          (rejected, typed error)
 //!              │
-//!       queued ≥ cap ──► Busy{retry_after_ms}   (backpressure)
+//!      pool: closed ──► ShuttingDown
+//!      pool: full   ──► Busy{retry_after_ms}   (backpressure)
 //!              │
 //!           Queued ──► Running ──► Completed | Aborted | Cancelled
 //!                        ▲                (terminal, kept for STATUS)
 //!                 cancel ┘ (cooperative, at task checkpoints)
 //! ```
 //!
-//! Admission is bounded: at most `queue_cap` admitted-but-unfinished jobs
-//! may be queued ahead of the `pool_size` workers. Beyond that the client
-//! gets `Busy` with a retry hint instead of an unbounded backlog — the
-//! management plane prefers shedding load to queueing it invisibly.
+//! The split: the engine validates (catalog lookup, scope glob), mints
+//! tickets, keeps the ticket → handle tables and maps a final report to
+//! its wire phase. The pool owns the job. It decides admission: at most
+//! `queue_cap` jobs wait ahead of the `pool_size` workers, executor-wide,
+//! and beyond that the client gets `Busy` with a retry hint instead of an
+//! unbounded backlog — the management plane prefers shedding load to
+//! queueing it invisibly. And the job's [`PooledHandle`] holds its
+//! lifecycle and cancel token: STATUS and CANCEL read that handle; the
+//! engine keeps no phase of its own.
 //!
 //! Job records are bounded too: terminal records are retained for STATUS
-//! polling only up to `terminal_retain` entries, after which the oldest
-//! are evicted (a STATUS on an evicted ticket answers `Unknown`). A
-//! long-lived gateway therefore holds at most
-//! `queue_cap + pool_size + terminal_retain` records, not one per
-//! lifetime submission.
+//! polling only up to `terminal_retain` entries per reactor shard, after
+//! which the oldest are evicted (a STATUS on an evicted ticket answers
+//! `Unknown`). A long-lived gateway therefore holds at most
+//! `queue_cap + pool_size + shards × terminal_retain` records, not one
+//! per lifetime submission.
 
-use crate::catalog::{Catalog, CatalogEntry, WorkflowSpec};
+use crate::catalog::{Catalog, WorkflowSpec};
 use crate::proto::{ErrorCode, WirePhase};
-use occam_core::{CancelToken, PooledJob, RetryPolicy, Runtime, TaskError, TaskReport, TaskState};
+use occam_core::{
+    CancelToken, JobState, PoolJob, PooledHandle, Runtime, TaskError, TaskReport, TaskState,
+};
 use occam_obs::{Counter, Histogram, Registry};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Hard ceiling on admission shards: ticket values reserve four low
-/// bits (`SHARD_BITS`) for shard routing.
-pub const MAX_ENGINE_SHARDS: usize = 16;
-/// Low bits of a ticket that carry the admission-shard index.
+/// Low bits of a ticket that carry the reactor-shard index.
 const SHARD_BITS: u32 = 4;
 
 /// Engine tuning knobs.
@@ -49,31 +54,17 @@ const SHARD_BITS: u32 = 4;
 pub struct EngineConfig {
     /// Worker-pool size (concurrent task executions).
     pub pool_size: usize,
-    /// Maximum admitted-but-unfinished jobs waiting for a worker, *per
-    /// admission shard* (see [`EngineConfig::shards`]). With one shard —
-    /// the default on small machines and everywhere the engine is driven
-    /// directly rather than through the reactor — this is the same global
-    /// bound as before.
+    /// Maximum admitted jobs waiting for a worker, across the whole
+    /// executor (running jobs not counted).
     pub queue_cap: usize,
     /// Backoff hint returned in `Busy` responses, in milliseconds.
     pub retry_after_ms: u64,
     /// Maximum terminal job records kept for STATUS polling, per
-    /// admission shard. Oldest terminal records beyond this are evicted
+    /// reactor shard. Oldest terminal records beyond this are evicted
     /// and answer `Unknown`; live (queued/running) records are never
     /// evicted. Keeps a long-lived gateway's memory bounded instead of
     /// growing with every submission ever accepted.
     pub terminal_retain: usize,
-    /// Retry policy applied to every admitted task: transient aborts
-    /// (injected faults, connection failures, deadlock victims) are
-    /// re-executed after rollback, up to the policy's attempt budget.
-    /// Defaults to no retries.
-    pub retry: RetryPolicy,
-    /// Number of admission shards / reactor event loops. `0` (the
-    /// default) resolves to `min(4, available_parallelism)`. Each reactor
-    /// event-loop thread submits into its own shard, so the accept path
-    /// never crosses a shared admission lock; clamped to
-    /// [`MAX_ENGINE_SHARDS`].
-    pub shards: usize,
 }
 
 impl Default for EngineConfig {
@@ -83,24 +74,7 @@ impl Default for EngineConfig {
             queue_cap: 64,
             retry_after_ms: 25,
             terminal_retain: 16_384,
-            retry: RetryPolicy::none(),
-            shards: 0,
         }
-    }
-}
-
-impl EngineConfig {
-    /// The shard count this config resolves to (`0` = auto).
-    pub fn resolved_shards(&self) -> usize {
-        let n = if self.shards == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(4)
-        } else {
-            self.shards
-        };
-        n.clamp(1, MAX_ENGINE_SHARDS)
     }
 }
 
@@ -130,9 +104,7 @@ pub enum SubmitOutcome {
 }
 
 struct JobRecord {
-    phase: WirePhase,
-    detail: String,
-    cancel: CancelToken,
+    handle: PooledHandle,
     workflow: &'static str,
 }
 
@@ -140,22 +112,17 @@ struct JobRecord {
 #[derive(Default)]
 struct JobTable {
     records: BTreeMap<u64, JobRecord>,
-    /// Tickets in the order they reached a terminal phase; the front is
-    /// evicted first once more than `terminal_retain` are retained.
+    /// Tickets in the order their tasks finished; the front is evicted
+    /// first once more than `terminal_retain` are retained.
     terminal_order: VecDeque<u64>,
 }
 
 impl JobTable {
-    /// Moves `ticket` to a terminal phase and evicts the oldest terminal
-    /// records beyond `retain`. Live records are never evicted — only
-    /// tickets pushed onto `terminal_order` (i.e. already terminal) are
-    /// ever removed.
-    fn mark_terminal(&mut self, ticket: u64, phase: WirePhase, detail: String, retain: usize) {
-        if let Some(rec) = self.records.get_mut(&ticket) {
-            rec.phase = phase;
-            rec.detail = detail;
-            self.terminal_order.push_back(ticket);
-        }
+    /// Notes that `ticket`'s task has finished and evicts the oldest
+    /// finished records beyond `retain`. Live records are never evicted —
+    /// only tickets pushed onto `terminal_order` are ever removed.
+    fn mark_terminal(&mut self, ticket: u64, retain: usize) {
+        self.terminal_order.push_back(ticket);
         while self.terminal_order.len() > retain {
             let old = self
                 .terminal_order
@@ -196,15 +163,13 @@ impl EngineObs {
     }
 }
 
-/// Per-shard admission state: its own job table, queue-depth counter,
-/// and ticket sequence, so concurrent reactor event loops admit work
-/// without sharing a lock. Tickets encode their shard in the low
+/// Per-reactor-shard ticket state: its own job table and ticket
+/// sequence, so concurrent reactor event loops record work without
+/// sharing a table lock. Tickets encode their shard in the low
 /// [`SHARD_BITS`] bits, so STATUS/CANCEL from *any* connection route to
 /// the owning shard.
 struct EngineShard {
     jobs: Mutex<JobTable>,
-    /// Admitted-but-unfinished jobs not yet picked up by a worker.
-    queued: AtomicUsize,
     next_seq: AtomicU64,
 }
 
@@ -213,18 +178,35 @@ struct EngineInner {
     catalog: Catalog,
     cfg: EngineConfig,
     shards: Vec<EngineShard>,
-    accepting: AtomicBool,
     obs: EngineObs,
-}
-
-/// `ticket → shard index` (the low bits carry the shard).
-fn shard_of(ticket: u64) -> usize {
-    (ticket & ((1 << SHARD_BITS) - 1)) as usize
 }
 
 /// `(sequence, shard) → ticket`.
 fn make_ticket(seq: u64, shard: usize) -> u64 {
     (seq << SHARD_BITS) | shard as u64
+}
+
+/// The single report → wire-phase conversion: every STATUS answer for a
+/// finished job and every terminal counter goes through here, so error
+/// text and counters cannot drift apart.
+fn settle(report: &TaskReport) -> (WirePhase, String) {
+    match (report.state, &report.error) {
+        (TaskState::Completed, _) => (WirePhase::Completed, String::new()),
+        (_, Some(TaskError::Cancelled)) => {
+            (WirePhase::Cancelled, "cancelled at a checkpoint".into())
+        }
+        (_, Some(err)) => (WirePhase::Aborted, err.to_string()),
+        (_, None) => (WirePhase::Aborted, "aborted without error detail".into()),
+    }
+}
+
+/// The wire phase (and, once finished, detail) a job's handle shows.
+fn phase_of(handle: &PooledHandle) -> (WirePhase, String) {
+    handle.with_state(|state| match state {
+        JobState::Queued => (WirePhase::Queued, String::new()),
+        JobState::Running => (WirePhase::Running, String::new()),
+        JobState::Done(report) => settle(report),
+    })
 }
 
 /// The admission-controlled execution engine. Cheap to clone; all clones
@@ -255,7 +237,12 @@ impl Engine {
             rt.obs().counter(name);
         }
         rt.obs().histogram("gateway.reactor.batch_len");
-        let nshards = cfg.resolved_shards();
+        // One ticket shard per reactor event loop; four ticket bits
+        // would route up to 16.
+        let nshards = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+            .min(4);
         Engine {
             inner: Arc::new(EngineInner {
                 rt,
@@ -264,17 +251,15 @@ impl Engine {
                 shards: (0..nshards)
                     .map(|_| EngineShard {
                         jobs: Mutex::new(JobTable::default()),
-                        queued: AtomicUsize::new(0),
                         next_seq: AtomicU64::new(1),
                     })
                     .collect(),
-                accepting: AtomicBool::new(true),
                 obs,
             }),
         }
     }
 
-    /// Number of admission shards (== reactor event loops).
+    /// Number of ticket shards (== reactor event loops).
     pub fn shards(&self) -> usize {
         self.inner.shards.len()
     }
@@ -282,11 +267,6 @@ impl Engine {
     /// The underlying runtime (shared observability registry lives here).
     pub fn runtime(&self) -> &Runtime {
         &self.inner.rt
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.inner.cfg
     }
 
     /// Submits a catalog workflow. Validates the name and scope, applies
@@ -312,11 +292,12 @@ impl Engine {
         .expect("one outcome per spec")
     }
 
-    /// Batch admission on one shard: validates every spec, reserves queue
-    /// slots for as many admissible submissions as the shard's cap
-    /// allows (earlier specs win; the rest answer `Busy`), inserts all
-    /// job records under a single job-table lock, and enqueues all
-    /// admitted programs into the worker pool under a single pool lock.
+    /// Batch admission from one reactor shard: validates every spec,
+    /// offers the valid ones to the worker pool under a single pool lock
+    /// — which admits as many as fit under `queue_cap` (earlier specs
+    /// win; the rest answer `Busy`) or none once the engine is shutting
+    /// down — and records the admitted ones under a single job-table
+    /// lock.
     ///
     /// Outcomes are returned in spec order and ticket order equals spec
     /// order among accepted items — the wire contract pipelined clients
@@ -331,24 +312,19 @@ impl Engine {
         let inner = &self.inner;
         let s = shard % inner.shards.len();
         let sh = &inner.shards[s];
-        let accepting = inner.accepting.load(Ordering::SeqCst);
 
-        // Validation pass: each spec becomes either a ready-to-admit
-        // entry or a typed rejection.
-        enum Item<'a> {
-            Ready(&'a CatalogEntry, SubmitSpec),
+        // Validation pass: each spec becomes either a typed rejection or
+        // a ticket and a pool job. A ticket is minted per valid spec, so
+        // one the pool then sheds leaves a gap in the sequence; order is
+        // what the wire contract promises, not density.
+        enum Item {
             Rejected(SubmitOutcome),
+            Offered(u64, &'static str),
         }
+        let mut jobs = Vec::with_capacity(specs.len());
         let items: Vec<Item> = specs
             .into_iter()
             .map(|spec| {
-                if !accepting {
-                    inner.obs.rejected.inc();
-                    return Item::Rejected(SubmitOutcome::Rejected(
-                        ErrorCode::ShuttingDown,
-                        "gateway is draining; no new work admitted".into(),
-                    ));
-                }
                 let Some(entry) = inner.catalog.get(&spec.workflow) else {
                     inner.obs.unknown.inc();
                     return Item::Rejected(SubmitOutcome::Rejected(
@@ -366,158 +342,108 @@ impl Engine {
                         format!("bad scope {:?}: {e}", spec.scope),
                     ));
                 }
-                // SAFETY-free lifetime note: catalog entries live as long
-                // as the engine; the reference is re-borrowed per call.
-                Item::Ready(entry, spec)
+                let ticket = make_ticket(sh.next_seq.fetch_add(1, Ordering::Relaxed), s);
+                let (workflow, isolation) = (entry.name, entry.isolation);
+                let cancel = CancelToken::new();
+                let task_cancel = cancel.clone();
+                let engine = self.clone();
+                let admitted_at = Instant::now();
+                jobs.push(PoolJob {
+                    urgent: spec.urgent,
+                    cancel,
+                    run: Box::new(move || {
+                        let inner = &engine.inner;
+                        inner
+                            .obs
+                            .queue_wait_ns
+                            .record_duration(admitted_at.elapsed());
+                        let program = inner
+                            .catalog
+                            .build(workflow, WorkflowSpec::new(&spec.scope, &spec.params))
+                            .expect("entry existence checked at admission");
+                        let report = inner
+                            .rt
+                            .task(format!("gw.{workflow}.{ticket}"))
+                            .urgency(spec.urgent)
+                            .cancel_token(task_cancel)
+                            .isolation(isolation)
+                            .run(|ctx| program(ctx));
+                        inner.obs.e2e_ns.record_duration(admitted_at.elapsed());
+                        match settle(&report).0 {
+                            WirePhase::Completed => inner.obs.completed.inc(),
+                            WirePhase::Cancelled => inner.obs.cancelled.inc(),
+                            _ => inner.obs.aborted.inc(),
+                        }
+                        inner.shards[s]
+                            .jobs
+                            .lock()
+                            .mark_terminal(ticket, inner.cfg.terminal_retain);
+                        // The handle is retained for `terminal_retain` later
+                        // completions and STATUS shows only the phase and
+                        // the error: keep the verdict, not the execution
+                        // log and undo payloads of every retained ticket.
+                        TaskReport {
+                            log: Vec::new(),
+                            undo: Vec::new(),
+                            activity: Vec::new(),
+                            op_offsets: Vec::new(),
+                            rollback: None,
+                            ..report
+                        }
+                    }),
+                });
+                Item::Offered(ticket, workflow)
             })
             .collect();
 
-        // Admission: reserve queue slots for as many admissible specs as
-        // fit under the per-shard cap, in one atomic update.
-        let admissible = items
-            .iter()
-            .filter(|i| matches!(i, Item::Ready(..)))
-            .count();
-        let cap = inner.cfg.queue_cap;
-        let mut granted;
-        let mut depth = sh.queued.load(Ordering::SeqCst);
-        loop {
-            granted = admissible.min(cap.saturating_sub(depth));
-            if granted == 0 {
-                break;
-            }
-            match sh.queued.compare_exchange(
-                depth,
-                depth + granted,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(now) => depth = now,
-            }
+        // Admission, then one record per admitted job. The table lock is
+        // held across the enqueue so that a job which finishes at once
+        // finds its record when it calls `mark_terminal`.
+        let mut table = sh.jobs.lock();
+        let admission = inner.rt.enqueue_pooled(Some(inner.cfg.queue_cap), jobs);
+        if !admission.handles.is_empty() {
+            inner.obs.queue_depth.record(admission.queued as u64);
+            inner.obs.accepted.add(admission.handles.len() as u64);
         }
-        if granted > 0 {
-            inner.obs.queue_depth.record((depth + granted) as u64);
-        }
-        let seq0 = sh.next_seq.fetch_add(granted as u64, Ordering::SeqCst);
-
-        // Record insertion (one lock for the whole batch) and pool-job
-        // construction, preserving spec order.
-        let mut outcomes = Vec::with_capacity(items.len());
-        let mut jobs: Vec<(bool, PooledJob)> = Vec::with_capacity(granted);
-        {
-            let mut table = sh.jobs.lock();
-            let mut admitted = 0u64;
-            for item in items {
-                match item {
-                    Item::Rejected(outcome) => outcomes.push(outcome),
-                    Item::Ready(..) if admitted as usize >= granted => {
+        let mut handles = admission.handles.into_iter();
+        items
+            .into_iter()
+            .map(|item| match item {
+                Item::Rejected(outcome) => outcome,
+                Item::Offered(ticket, workflow) => match handles.next() {
+                    Some(handle) => {
+                        table.records.insert(ticket, JobRecord { handle, workflow });
+                        SubmitOutcome::Accepted(ticket)
+                    }
+                    None => {
                         inner.obs.rejected.inc();
-                        outcomes.push(SubmitOutcome::Busy(inner.cfg.retry_after_ms));
+                        if admission.closed {
+                            SubmitOutcome::Rejected(
+                                ErrorCode::ShuttingDown,
+                                "gateway is draining; no new work admitted".into(),
+                            )
+                        } else {
+                            SubmitOutcome::Busy(inner.cfg.retry_after_ms)
+                        }
                     }
-                    Item::Ready(entry, spec) => {
-                        let ticket = make_ticket(seq0 + admitted, s);
-                        admitted += 1;
-                        let cancel = CancelToken::new();
-                        let program = inner
-                            .catalog
-                            .build(entry.name, WorkflowSpec::new(&spec.scope, &spec.params))
-                            .expect("entry existence checked above");
-                        table.records.insert(
-                            ticket,
-                            JobRecord {
-                                phase: WirePhase::Queued,
-                                detail: String::new(),
-                                cancel: cancel.clone(),
-                                workflow: entry.name,
-                            },
-                        );
-                        let engine = self.clone();
-                        let name = format!("gw.{}.{}", entry.name, ticket);
-                        let urgent = spec.urgent;
-                        let retry = inner.cfg.retry.clone();
-                        let isolation = entry.isolation;
-                        let admitted_at = Instant::now();
-                        jobs.push((
-                            urgent,
-                            Box::new(move |rt: &Runtime| {
-                                let inner = &engine.inner;
-                                let sh = &inner.shards[shard_of(ticket)];
-                                inner
-                                    .obs
-                                    .queue_wait_ns
-                                    .record_duration(admitted_at.elapsed());
-                                sh.queued.fetch_sub(1, Ordering::SeqCst);
-                                {
-                                    let mut jobs = sh.jobs.lock();
-                                    if let Some(rec) = jobs.records.get_mut(&ticket) {
-                                        rec.phase = WirePhase::Running;
-                                    }
-                                }
-                                let report = rt
-                                    .task(name.as_str())
-                                    .urgency(urgent)
-                                    .cancel_token(cancel)
-                                    .retry(retry)
-                                    .isolation(isolation)
-                                    .run(|ctx| program(ctx));
-                                inner.obs.e2e_ns.record_duration(admitted_at.elapsed());
-                                let (phase, detail) = engine.settle(&report);
-                                sh.jobs.lock().mark_terminal(
-                                    ticket,
-                                    phase,
-                                    detail,
-                                    inner.cfg.terminal_retain,
-                                );
-                            }),
-                        ));
-                        outcomes.push(SubmitOutcome::Accepted(ticket));
-                    }
-                }
-            }
-        }
-        inner.obs.accepted.add(granted as u64);
-        inner.rt.spawn_pooled_batch(jobs);
-        outcomes
+                },
+            })
+            .collect()
     }
 
-    /// The single report → wire-phase conversion: maps a final
-    /// [`TaskReport`] to its `(phase, detail)` pair and bumps the matching
-    /// terminal counter. Every terminal job record goes through here so
-    /// error text and counters cannot drift apart.
-    fn settle(&self, report: &TaskReport) -> (WirePhase, String) {
-        let obs = &self.inner.obs;
-        match (report.state, &report.error) {
-            (TaskState::Completed, _) => {
-                obs.completed.inc();
-                (WirePhase::Completed, String::new())
-            }
-            (_, Some(TaskError::Cancelled)) => {
-                obs.cancelled.inc();
-                (WirePhase::Cancelled, "cancelled at a checkpoint".into())
-            }
-            (_, Some(err)) => {
-                obs.aborted.inc();
-                (WirePhase::Aborted, err.to_string())
-            }
-            (_, None) => {
-                obs.aborted.inc();
-                (WirePhase::Aborted, "aborted without error detail".into())
-            }
-        }
+    /// The handle behind a ticket, if its record is still retained.
+    fn handle(&self, ticket: u64) -> Option<PooledHandle> {
+        let shard = (ticket & ((1 << SHARD_BITS) - 1)) as usize;
+        let jobs = self.inner.shards.get(shard)?.jobs.lock();
+        jobs.records.get(&ticket).map(|rec| rec.handle.clone())
     }
 
     /// Looks up the lifecycle phase of a ticket. Terminal records are
     /// retained for `terminal_retain` completions, after which the
     /// ticket answers `Unknown`.
     pub fn status(&self, ticket: u64) -> (WirePhase, String) {
-        let shard = shard_of(ticket);
-        if shard >= self.inner.shards.len() {
-            return (WirePhase::Unknown, String::new());
-        }
-        let jobs = self.inner.shards[shard].jobs.lock();
-        match jobs.records.get(&ticket) {
-            Some(rec) => (rec.phase, rec.detail.clone()),
+        match self.handle(ticket) {
+            Some(handle) => phase_of(&handle),
             None => (WirePhase::Unknown, String::new()),
         }
     }
@@ -528,25 +454,7 @@ impl Engine {
     /// operation); blocked lock waiters are woken to observe it.
     pub fn cancel(&self, ticket: u64) -> bool {
         self.inner.obs.cancel_requests.inc();
-        let shard = shard_of(ticket);
-        if shard >= self.inner.shards.len() {
-            return false;
-        }
-        let token = {
-            let jobs = self.inner.shards[shard].jobs.lock();
-            match jobs.records.get(&ticket) {
-                Some(rec) if !rec.phase.is_terminal() => Some(rec.cancel.clone()),
-                _ => None,
-            }
-        };
-        match token {
-            Some(token) => {
-                token.cancel();
-                self.inner.rt.wake_lock_waiters();
-                true
-            }
-            None => false,
-        }
+        self.handle(ticket).is_some_and(|handle| handle.cancel())
     }
 
     /// The workflow catalog as `(name, description, read_only)` rows.
@@ -564,14 +472,10 @@ impl Engine {
         self.inner.rt.obs().to_json()
     }
 
-    /// Count of admitted-but-unfinished jobs waiting for a worker,
-    /// summed over all admission shards.
+    /// Count of admitted jobs waiting for a worker: the pool's queue
+    /// length, the number admission is bounded against.
     pub fn queued(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.queued.load(Ordering::SeqCst))
-            .sum()
+        self.inner.rt.pool_stats().queued
     }
 
     /// Whether every known job is in a terminal phase. (Evicted records
@@ -582,7 +486,7 @@ impl Engine {
                 .lock()
                 .records
                 .values()
-                .all(|r| r.phase.is_terminal())
+                .all(|r| phase_of(&r.handle).0.is_terminal())
         })
     }
 
@@ -595,7 +499,7 @@ impl Engine {
         for shard in &self.inner.shards {
             let jobs = shard.jobs.lock();
             for rec in jobs.records.values() {
-                let phase = match rec.phase {
+                let phase = match phase_of(&rec.handle).0 {
                     WirePhase::Completed => "completed",
                     WirePhase::Aborted => "aborted",
                     WirePhase::Cancelled => "cancelled",
@@ -609,16 +513,13 @@ impl Engine {
         out
     }
 
-    /// Graceful drain-then-shutdown: stop admitting, then block until the
-    /// worker pool is quiescent. Idempotent.
+    /// Graceful drain-then-shutdown: close the pool's bounded door, then
+    /// block until the worker pool is quiescent. A batch racing this is
+    /// either queued before the drain looks, or answered `ShuttingDown`.
+    /// Idempotent.
     pub fn shutdown(&self) {
-        self.inner.accepting.store(false, Ordering::SeqCst);
+        self.inner.rt.close_pool();
         self.inner.rt.drain_pool();
-    }
-
-    /// Whether the engine still admits new submissions.
-    pub fn accepting(&self) -> bool {
-        self.inner.accepting.load(Ordering::SeqCst)
     }
 }
 
@@ -756,34 +657,112 @@ mod tests {
 
     #[test]
     fn queue_full_answers_busy() {
+        use std::sync::mpsc;
+
         let engine = tiny_engine(EngineConfig {
             pool_size: 1,
             queue_cap: 1,
             retry_after_ms: 7,
             ..EngineConfig::default()
         });
-        // Fill the single worker and the single queue slot with jobs that
-        // block on an attribute the test controls via lock contention:
-        // simplest is a long chain of status audits over the same scope.
-        let mut accepted = 0;
-        let mut busy = 0;
-        for _ in 0..64 {
-            match engine.submit("status_audit", "dc01.*", false, &[]) {
-                SubmitOutcome::Accepted(_) => accepted += 1,
-                SubmitOutcome::Busy(ms) => {
-                    assert_eq!(ms, 7);
-                    busy += 1;
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+        // A directly-run task holds the exclusive lock over the whole DC
+        // until the test lets go, so a 2PL workflow under it blocks.
+        let (locked_tx, locked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let holder = engine.runtime().task("holder").spawn(move |ctx| {
+            let _dc = ctx.network("dc01.*")?;
+            locked_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+            Ok(())
+        });
+        locked_rx.recv().unwrap();
+
+        let submit = |scope| engine.submit("drain", scope, false, &[]);
+        // First: taken by the single worker, parked on the lock.
+        let SubmitOutcome::Accepted(running) = submit("dc01.pod00.*") else {
+            panic!("expected acceptance");
+        };
+        while engine.status(running).0 != WirePhase::Running {
+            std::thread::yield_now();
         }
-        assert!(accepted >= 1);
-        // With cap 1 the burst must shed at least once unless every job
-        // drained between submissions; 64 back-to-back makes that
-        // overwhelmingly unlikely, but tolerate it to avoid flakiness.
-        let _ = busy;
+        assert_eq!(engine.queued(), 0);
+        // Second: fills the one queue slot. Third: shed, with the hint.
+        let SubmitOutcome::Accepted(queued) = submit("dc01.pod01.*") else {
+            panic!("expected acceptance");
+        };
+        assert_eq!(engine.status(queued).0, WirePhase::Queued);
+        assert_eq!(engine.queued(), 1);
+        assert_eq!(submit("dc01.pod02.*"), SubmitOutcome::Busy(7));
+        assert_eq!(engine.queued(), 1);
+        assert!(!engine.all_terminal());
+
+        release_tx.send(()).unwrap();
+        assert_eq!(holder.join().unwrap().state, TaskState::Completed);
+        for ticket in [running, queued] {
+            let (phase, detail) = wait_terminal(&engine, ticket);
+            assert_eq!(phase, WirePhase::Completed, "{detail}");
+        }
+        // Room again once the queue has drained.
+        assert!(matches!(submit("dc01.pod02.*"), SubmitOutcome::Accepted(_)));
         engine.shutdown();
         assert!(engine.all_terminal());
+    }
+
+    #[test]
+    fn shutdown_racing_a_submitter_leaves_nothing_behind() {
+        // A batch that is still validating when `shutdown()` starts must
+        // be either queued before the drain or refused: after `shutdown()`
+        // has returned and the submitter has been told `ShuttingDown`,
+        // nothing it was ever granted may still be waiting or running.
+        for round in 0..20 {
+            let engine = tiny_engine(EngineConfig::default());
+            let (first_tx, first_rx) = std::sync::mpsc::channel();
+            let submitter = {
+                let engine = engine.clone();
+                std::thread::spawn(move || {
+                    let mut accepted = Vec::new();
+                    for n in 0.. {
+                        // Never-seen scope globs: each costs a cold
+                        // compile, which is what makes validation long
+                        // enough for `shutdown()` to overtake it.
+                        let specs = (0..4)
+                            .map(|i| SubmitSpec {
+                                workflow: "status_audit".into(),
+                                scope: format!("dc01.pod0{i}.r{round}n{n}*"),
+                                urgent: false,
+                                params: Vec::new(),
+                            })
+                            .collect();
+                        for outcome in engine.submit_batch(0, specs) {
+                            match outcome {
+                                SubmitOutcome::Accepted(t) => accepted.push(t),
+                                SubmitOutcome::Busy(_) => {}
+                                SubmitOutcome::Rejected(ErrorCode::ShuttingDown, _) => {
+                                    return accepted;
+                                }
+                                other => panic!("unexpected {other:?}"),
+                            }
+                        }
+                        if n == 0 {
+                            first_tx.send(()).unwrap();
+                        }
+                    }
+                    unreachable!()
+                })
+            };
+            first_rx.recv().unwrap();
+            engine.shutdown();
+            let accepted = submitter.join().unwrap();
+            assert!(!accepted.is_empty());
+            assert_eq!(engine.queued(), 0, "round {round}");
+            for t in accepted {
+                let phase = engine.status(t).0;
+                assert!(
+                    phase.is_terminal(),
+                    "round {round}: ticket {t} is {phase:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -793,7 +772,6 @@ mod tests {
             queue_cap: 8,
             retry_after_ms: 1,
             terminal_retain: 3,
-            ..EngineConfig::default()
         });
         let mut tickets = Vec::new();
         for _ in 0..6 {

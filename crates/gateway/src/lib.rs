@@ -12,12 +12,14 @@
 //! - [`proto`] — a length-prefixed binary wire protocol with total,
 //!   typed decoding (`SUBMIT`/`STATUS`/`CANCEL`/`LIST`/`METRICS`/
 //!   `SHUTDOWN`).
-//! - [`engine`] — admission control: a bounded queue in front of the
-//!   runtime's fixed worker pool, sharded so each reactor shard admits
-//!   without cross-shard contention. Queue-full answers
-//!   `Busy{retry_after}` instead of building invisible backlog; urgent
-//!   submissions take the pool fast lane *and* the scheduler's urgent
-//!   priority; cancellation is cooperative at task checkpoints.
+//! - [`engine`] — tickets and wire concerns in front of the runtime's
+//!   one bounded executor (`occam_core::pool`): validation, ticket
+//!   minting, the ticket → handle tables, the report → phase mapping.
+//!   The pool decides admission — a full queue answers
+//!   `Busy{retry_after}` instead of building invisible backlog — and
+//!   owns each job's lifecycle and cancel token; urgent submissions take
+//!   the pool fast lane *and* the scheduler's urgent priority;
+//!   cancellation is cooperative at task checkpoints.
 //! - [`server`]/[`client`] — a `std::net` TCP server driven by a
 //!   sharded edge-triggered epoll reactor (DESIGN.md §13): a handful
 //!   of event-loop threads serve thousands of non-blocking
@@ -72,7 +74,7 @@ pub mod server;
 
 pub use catalog::{Catalog, CatalogEntry, Program, WorkflowSpec};
 pub use client::{ClientError, GatewayClient, SubmitReply};
-pub use engine::{Engine, EngineConfig, SubmitOutcome, SubmitSpec, MAX_ENGINE_SHARDS};
+pub use engine::{Engine, EngineConfig, SubmitOutcome, SubmitSpec};
 pub use proto::{
     ErrorCode, FrameError, FrameReader, Request, Response, WirePhase, MAX_FRAME, MAX_METRICS_STR,
 };

@@ -1,7 +1,7 @@
 //! The gateway reactor: sharded epoll event loops replacing the
 //! thread-per-connection server (DESIGN.md §13).
 //!
-//! One thread per admission shard, each owning:
+//! One thread per engine ticket shard, each owning:
 //!
 //! - an epoll instance with edge-triggered connection registration,
 //! - a slab of connection states (resumable [`FrameReader`] + a write
@@ -12,7 +12,7 @@
 //!
 //! Per readability event a connection decodes *every* complete frame it
 //! has buffered; the SUBMITs among them are admitted as one
-//! [`Engine::submit_batch`] call on the shard's own admission state, so
+//! [`Engine::submit_batch`] call on the shard's own ticket table, so
 //! pipelined clients pay one jobs-table lock and one pool lock per
 //! batch instead of per frame. Responses are appended to a per-
 //! connection write buffer in request order (the wire contract);
@@ -65,7 +65,7 @@ const OUT_HIGH_WATER: usize = 2 << 20;
 /// is OR'd in only while a flush is blocked.
 const BASE_INTEREST: u32 = EPOLLIN | EPOLLRDHUP | EPOLLET;
 
-/// The running reactor: one event-loop thread per admission shard.
+/// The running reactor: one event-loop thread per engine ticket shard.
 pub(crate) struct Reactor {
     threads: Vec<JoinHandle<()>>,
     wakes: Vec<Arc<WakeFd>>,

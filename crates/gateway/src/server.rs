@@ -2,8 +2,8 @@
 //!
 //! The server is a thin shell over [`Engine`] and the crate's private
 //! `reactor` module: `engine.shards()` event-loop threads share one listener,
-//! each accepting into its own connection slab and admitting SUBMIT
-//! batches into its own engine shard (DESIGN.md §13). Decode errors are
+//! each accepting into its own connection slab and submitting SUBMIT
+//! batches under its own engine ticket shard (DESIGN.md §13). Decode errors are
 //! answered with a typed `Error` response and the connection is closed —
 //! a malformed peer can cost at most its own connection, never a worker
 //! or an admission slot (admission happens after decoding succeeds).
@@ -54,7 +54,7 @@ pub struct GatewayServer {
 
 impl GatewayServer {
     /// Binds `addr` (use `127.0.0.1:0` for an ephemeral port) and starts
-    /// one reactor event loop per engine admission shard.
+    /// one reactor event loop per engine ticket shard.
     pub fn start(engine: Engine, addr: &str) -> std::io::Result<GatewayServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;

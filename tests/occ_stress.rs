@@ -29,19 +29,19 @@ fn mixed_isolation_increments_lose_nothing_and_certify_acyclic() {
                     Isolation::TwoPl
                 };
                 for i in 0..INCREMENTS {
-                    let report =
-                        rt.task(&format!("inc.w{w}.{i}"))
-                            .isolation(isolation)
-                            .run(|ctx| {
-                                let net = ctx.network("dc01.pod00.tor00")?;
-                                let current = net
-                                    .get(COUNTER)?
-                                    .get("dc01.pod00.tor00")
-                                    .and_then(AttrValue::as_int)
-                                    .unwrap_or(0);
-                                net.set(COUNTER, AttrValue::from(current + 1))?;
-                                Ok(())
-                            });
+                    let report = rt
+                        .task(format!("inc.w{w}.{i}"))
+                        .isolation(isolation)
+                        .run(|ctx| {
+                            let net = ctx.network("dc01.pod00.tor00")?;
+                            let current = net
+                                .get(COUNTER)?
+                                .get("dc01.pod00.tor00")
+                                .and_then(AttrValue::as_int)
+                                .unwrap_or(0);
+                            net.set(COUNTER, AttrValue::from(current + 1))?;
+                            Ok(())
+                        });
                     assert_eq!(report.state, TaskState::Completed);
                 }
             });

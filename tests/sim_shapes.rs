@@ -23,7 +23,7 @@ fn sim(trace_cfg: &TraceConfig, granularity: Granularity, policy: Policy) -> Sim
 
 fn reduced() -> TraceConfig {
     TraceConfig {
-        num_tasks: 600,
+        num_tasks: 500,
         ..TraceConfig::default()
     }
 }
@@ -91,7 +91,7 @@ fn figure9_read_heavy_narrows_dev_obj_gap() {
 #[test]
 fn figure10_dev_locking_produces_more_objects_and_slower_sched() {
     let cfg = TraceConfig {
-        num_tasks: 300,
+        num_tasks: 200,
         ..TraceConfig::default()
     };
     let dc = sim(&cfg, Granularity::Dc, Policy::Ldsf);
@@ -124,7 +124,7 @@ fn figure10_dev_locking_produces_more_objects_and_slower_sched() {
 #[test]
 fn figure11_ldsf_beats_fifo_under_skew() {
     let cfg = TraceConfig {
-        num_tasks: 500,
+        num_tasks: 400,
         ..TraceConfig::default()
     }
     .skewed();
@@ -176,7 +176,7 @@ fn urgent_tasks_wait_less_than_ordinary_ones() {
 #[test]
 fn all_six_scheduler_configs_complete_the_meta_trace() {
     let cfg = TraceConfig {
-        num_tasks: 250,
+        num_tasks: 150,
         ..TraceConfig::default()
     };
     let trace = synthesize(&cfg);
@@ -191,7 +191,7 @@ fn all_six_scheduler_configs_complete_the_meta_trace() {
                 },
                 &trace,
             );
-            assert_eq!(r.outcomes.len(), 250, "{granularity:?}/{policy:?}");
+            assert_eq!(r.outcomes.len(), 150, "{granularity:?}/{policy:?}");
             // Strict 2PL + commit: every task starts at/after arrival and
             // completes after its full duration.
             for o in &r.outcomes {

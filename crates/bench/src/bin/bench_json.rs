@@ -1,19 +1,20 @@
 //! Machine-readable performance probe: measures object-tree insert
 //! throughput, relation-cache effectiveness, and SCHED invocation times,
-//! then writes `BENCH_objtree.json` (hand-rolled JSON; no serde).
+//! then writes `BENCH_objtree.json`.
 //!
 //! Every reported metric is read back from an `occam-obs` [`Registry`] —
 //! the microbenchmark binds its own, the simulator runs carry theirs.
 //!
 //! Usage: `cargo run --release -p occam-bench --bin bench_json [num_tasks]`
 
+use occam_bench::Bench;
 use occam_objtree::{ObjTree, ObjectId, SplitMode};
+use occam_obs::json::Fixed;
 use occam_obs::Registry;
 use occam_sched::Policy;
 use occam_sim::{run, Granularity, SimConfig};
 use occam_topology::ProductionScheme;
 use occam_workload::{synthesize, TraceConfig};
-use std::fmt::Write as _;
 
 /// The relate-cache hit ratio recorded in a registry's
 /// `objtree.relate_cache.*` counters.
@@ -62,11 +63,9 @@ fn insert_throughput() -> (u64, f64, f64) {
     )
 }
 
-fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(500);
+fn main() -> std::process::ExitCode {
+    let bench = Bench::from_args("objtree");
+    let n: usize = bench.arg(0, "num_tasks").unwrap_or(500);
 
     let (inserts, insert_secs, tree_hit_ratio) = insert_throughput();
 
@@ -75,79 +74,60 @@ fn main() {
         ..TraceConfig::default()
     });
 
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"num_tasks\": {n},");
-    let _ = writeln!(out, "  \"insert_throughput\": {{");
-    let _ = writeln!(out, "    \"inserts\": {inserts},");
-    let _ = writeln!(out, "    \"seconds\": {insert_secs:.6},");
-    let _ = writeln!(
-        out,
-        "    \"inserts_per_sec\": {:.1},",
-        inserts as f64 / insert_secs
-    );
-    let _ = writeln!(out, "    \"relate_cache_hit_ratio\": {tree_hit_ratio:.4}");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"sched\": [");
-
-    let policies = [Policy::Fifo, Policy::Ldsf];
-    for (i, policy) in policies.iter().enumerate() {
+    // One Object-granularity simulation per policy: (policy, wall
+    // seconds, SCHED invocation latency, result).
+    let mut runs = Vec::new();
+    for policy in [Policy::Fifo, Policy::Ldsf] {
         let t0 = std::time::Instant::now();
         let r = run(
             &SimConfig {
                 granularity: Granularity::Object,
-                policy: *policy,
+                policy,
                 scheme: ProductionScheme::meta_scale(),
                 split_mode: SplitMode::Split,
             },
             &trace,
         );
         let wall = t0.elapsed().as_secs_f64();
-        let invocations = r.obs.counter_value("sched.invocations");
         let snap = r
             .obs
             .histogram_snapshot("sched.invocation_ns")
             .expect("scheduler records invocation latency");
-        let hit_ratio = relate_hit_ratio(&r.obs);
         println!(
-            "{policy:?}/obj: {wall:.2}s invocations={invocations} mean={:.3}us max={:.3}us relate_hit_ratio={hit_ratio:.4}",
+            "{policy:?}/obj: {wall:.2}s invocations={} mean={:.3}us max={:.3}us relate_hit_ratio={:.4}",
+            r.obs.counter_value("sched.invocations"),
             snap.mean() / 1e3,
             snap.max as f64 / 1e3,
+            relate_hit_ratio(&r.obs),
         );
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"policy\": \"{policy:?}\",");
-        let _ = writeln!(out, "      \"granularity\": \"object\",");
-        let _ = writeln!(out, "      \"wall_seconds\": {wall:.4},");
-        let _ = writeln!(out, "      \"invocations\": {invocations},");
-        let _ = writeln!(
-            out,
-            "      \"mean_invocation_us\": {:.3},",
-            snap.mean() / 1e3
-        );
-        let _ = writeln!(
-            out,
-            "      \"max_invocation_us\": {:.3},",
-            snap.max as f64 / 1e3
-        );
-        let _ = writeln!(out, "      \"relate_cache_hit_ratio\": {hit_ratio:.4},");
-        let _ = writeln!(
-            out,
-            "      \"mean_completion_h\": {:.2},",
-            r.mean_completion()
-        );
-        let _ = writeln!(
-            out,
-            "      \"deadlocks_broken\": {}",
-            r.obs.counter_value("sim.deadlocks_broken")
-        );
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if i + 1 < policies.len() { "," } else { "" }
-        );
+        runs.push((policy, wall, snap, r));
     }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
 
-    std::fs::write("BENCH_objtree.json", &out).expect("write BENCH_objtree.json");
-    println!("wrote BENCH_objtree.json");
+    bench.finish(|w| {
+        w.field("num_tasks", n);
+        w.key("insert_throughput").object(|w| {
+            w.field("inserts", inserts)
+                .field("seconds", Fixed(insert_secs, 6))
+                .field("inserts_per_sec", Fixed(inserts as f64 / insert_secs, 1))
+                .field("relate_cache_hit_ratio", Fixed(tree_hit_ratio, 4));
+        });
+        w.key("sched").array(|w| {
+            for (policy, wall, snap, r) in &runs {
+                w.object(|w| {
+                    w.field("policy", format!("{policy:?}"))
+                        .field("granularity", "object")
+                        .field("wall_seconds", Fixed(*wall, 4))
+                        .field("invocations", r.obs.counter_value("sched.invocations"))
+                        .field("mean_invocation_us", Fixed(snap.mean() / 1e3, 3))
+                        .field("max_invocation_us", Fixed(snap.max as f64 / 1e3, 3))
+                        .field("relate_cache_hit_ratio", Fixed(relate_hit_ratio(&r.obs), 4))
+                        .field("mean_completion_h", Fixed(r.mean_completion(), 2))
+                        .field(
+                            "deadlocks_broken",
+                            r.obs.counter_value("sim.deadlocks_broken"),
+                        );
+                });
+            }
+        });
+    })
 }

@@ -17,14 +17,14 @@
 //!
 //! cargo run --release -p occam-bench --bin chaos_campaign --smoke
 //! # CI smoke: one campaign, seed 42, fault rate 10%, 100 tasks,
-//! # gateway, replication, consistent-update, and OCC phases included
+//! # gateway, replication, consistent-update, OCC and spec phases included
 //! ```
 
+use occam_bench::Bench;
 use occam_chaos::{
     Campaign, CampaignConfig, CampaignReport, GatewayChaosConfig, OccChaosConfig, ReplChaosConfig,
-    UpdateChaosConfig,
+    SpecChaosConfig, UpdateChaosConfig,
 };
-use std::fmt::Write as _;
 
 const SWEEP_SEEDS: [u64; 3] = [11, 42, 1234];
 const SWEEP_RATES: [f64; 5] = [0.0, 0.05, 0.10, 0.15, 0.20];
@@ -34,12 +34,13 @@ fn run_campaign(seed: u64, rate: f64, tasks: u32, gateway: bool) -> CampaignRepo
     cfg.tasks = tasks;
     if gateway {
         cfg.gateway = Some(GatewayChaosConfig::default());
-        // The replication and update phases ride along with the gateway
-        // phase: all are fault-rate independent (the update phase injects
-        // its own device faults), so once per seed is representative.
+        // The other phases ride along with the gateway phase: all are
+        // fault-rate independent (each injects its own faults), so once
+        // per seed is representative.
         cfg.repl = Some(ReplChaosConfig::default());
         cfg.update = Some(UpdateChaosConfig::default());
         cfg.occ = Some(OccChaosConfig::default());
+        cfg.spec = Some(SpecChaosConfig::default());
     }
     let report = Campaign::new(cfg).run();
     eprintln!(
@@ -54,13 +55,11 @@ fn run_campaign(seed: u64, rate: f64, tasks: u32, gateway: bool) -> CampaignRepo
     report
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let tasks: u32 = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(|a| a.parse().expect("tasks must be a number"))
+fn main() -> std::process::ExitCode {
+    let mut bench = Bench::from_args("chaos");
+    let smoke = bench.smoke();
+    let tasks: u32 = bench
+        .arg(0, "tasks")
         .unwrap_or(if smoke { 100 } else { 60 });
 
     let mut campaigns: Vec<CampaignReport> = Vec::new();
@@ -86,37 +85,21 @@ fn main() {
     let determinism_ok = rerun.to_json() == first.to_json();
 
     let total_violations: u64 = campaigns.iter().map(|c| c.invariant_violations).sum();
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"bench\":\"chaos_campaign\",\"smoke\":{smoke},\"tasks_per_campaign\":{tasks},\
-         \"campaigns\":["
+    bench.gate(
+        determinism_ok,
+        "identical configs produce byte-identical reports",
     );
-    for (i, c) in campaigns.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&c.to_json());
-    }
-    let _ = write!(
-        json,
-        "],\"determinism_ok\":{determinism_ok},\"total_violations\":{total_violations}}}"
+    let first_bad = campaigns.iter().find_map(|c| c.first_violation.as_deref());
+    bench.gate(
+        total_violations == 0,
+        format!("zero invariant violations ({total_violations}: {first_bad:?})"),
     );
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-    println!("wrote BENCH_chaos.json ({} campaigns)", campaigns.len());
-
-    if !determinism_ok {
-        eprintln!("FAIL: identical configs produced different reports");
-        std::process::exit(1);
-    }
-    if total_violations > 0 {
-        let first_bad = campaigns
-            .iter()
-            .find(|c| c.invariant_violations > 0)
-            .and_then(|c| c.first_violation.clone())
-            .unwrap_or_default();
-        eprintln!("FAIL: {total_violations} invariant violations ({first_bad})");
-        std::process::exit(1);
-    }
-    println!("sweep clean: zero invariant violations, determinism holds");
+    bench.finish(|w| {
+        w.field("bench", "chaos_campaign")
+            .field("smoke", smoke)
+            .field("tasks_per_campaign", tasks)
+            .field("campaigns", &campaigns)
+            .field("determinism_ok", determinism_ok)
+            .field("total_violations", total_violations);
+    })
 }

@@ -12,10 +12,11 @@
 //!
 //! Usage: `cargo run --release -p occam-bench --bin db_throughput [--smoke]`
 
+use occam_bench::Bench;
 use occam_netdb::{AttrValue, Database, Store, StoreSnapshot, WriteOp};
+use occam_obs::json::Fixed;
 use occam_obs::Registry;
 use occam_regex::Pattern;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -122,8 +123,9 @@ fn read_sweep(db: &Arc<Database>, s: &Scale, writers: usize) -> (u64, f64, u64) 
     (reads, secs, writes.load(Ordering::Relaxed))
 }
 
-fn main() {
-    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
+fn main() -> std::process::ExitCode {
+    let mut bench = Bench::from_args("netdb");
+    let smoke = bench.smoke();
     let s = if smoke { SMOKE } else { FULL };
 
     let reg = Registry::new();
@@ -168,71 +170,50 @@ fn main() {
     let sharded = StoreSnapshot::replay(&records);
     let naive = Store::replay(&records);
     let live = db.read_view();
-    let mut gate_failures = Vec::new();
-    if sharded != naive {
-        gate_failures.push("sharded replay diverged from naive replay");
-    }
-    if *live != sharded {
-        gate_failures.push("live state diverged from WAL replay");
-    }
-    if let Err(e) = live.self_check() {
-        eprintln!("self-check: {e}");
-        gate_failures.push("snapshot failed self-check");
-    }
-    if speedup < 10.0 {
-        gate_failures.push("snapshot under 10x faster than deep-clone baseline");
-    }
+    bench.gate(sharded == naive, "sharded replay equals naive replay");
+    bench.gate(*live == sharded, "live state equals WAL replay");
+    let self_check = live.self_check();
+    bench.gate(
+        self_check.is_ok(),
+        format!("snapshot passes its self-check ({self_check:?})"),
+    );
+    bench.gate(
+        speedup >= 10.0,
+        format!("snapshot {speedup:.1}x >= 10x faster than the deep-clone baseline"),
+    );
 
     let snap_hist = reg.histogram_snapshot("netdb.snapshot_ns");
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(out, "  \"devices\": {devices},");
-    let _ = writeln!(out, "  \"seed_seconds\": {seed_secs:.3},");
-    let _ = writeln!(out, "  \"snapshot\": {{");
-    let _ = writeln!(out, "    \"mean_ns\": {snap_ns:.0},");
-    if let Some(h) = &snap_hist {
-        let _ = writeln!(out, "    \"obs_count\": {},", h.count);
-        let _ = writeln!(out, "    \"obs_p50_ns\": {},", h.quantile(0.5));
-        let _ = writeln!(out, "    \"obs_p99_ns\": {},", h.quantile(0.99));
-    }
-    let _ = writeln!(out, "    \"deep_clone_ns\": {clone_ns:.0},");
-    let _ = writeln!(out, "    \"speedup\": {speedup:.1}");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"read_sweeps\": [");
-    for (i, (writers, reads, secs, writes)) in sweeps.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"writers\": {writers},");
-        let _ = writeln!(out, "      \"scoped_reads\": {reads},");
-        let _ = writeln!(out, "      \"seconds\": {secs:.3},");
-        let _ = writeln!(out, "      \"reads_per_sec\": {:.0},", *reads as f64 / secs);
-        let _ = writeln!(out, "      \"concurrent_commits\": {writes}");
-        let _ = writeln!(out, "    }}{}", if i + 1 < sweeps.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"shard_commits\": {},",
-        reg.counter_value("netdb.shard.commits")
-    );
-    let _ = writeln!(
-        out,
-        "  \"lock_free_reads\": {},",
-        reg.counter_value("netdb.shard.read_lock_free")
-    );
-    let _ = writeln!(out, "  \"wal_records\": {},", records.len());
-    let _ = writeln!(out, "  \"gate_failures\": {}", gate_failures.len());
-    out.push_str("}\n");
-    std::fs::write("BENCH_netdb.json", &out).expect("write BENCH_netdb.json");
-    println!("wrote BENCH_netdb.json");
-
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!("GATE FAILURE: {f}");
-        }
-        std::process::exit(1);
-    }
+    bench.finish(|w| {
+        w.field("mode", if smoke { "smoke" } else { "full" })
+            .field("devices", devices)
+            .field("seed_seconds", Fixed(seed_secs, 3));
+        w.key("snapshot").object(|w| {
+            w.field("mean_ns", Fixed(snap_ns, 0));
+            if let Some(h) = &snap_hist {
+                w.field("obs_count", h.count)
+                    .field("obs_p50_ns", h.quantile(0.5))
+                    .field("obs_p99_ns", h.quantile(0.99));
+            }
+            w.field("deep_clone_ns", Fixed(clone_ns, 0))
+                .field("speedup", Fixed(speedup, 1));
+        });
+        w.key("read_sweeps").array(|w| {
+            for (writers, reads, secs, writes) in &sweeps {
+                w.object(|w| {
+                    w.field("writers", writers)
+                        .field("scoped_reads", reads)
+                        .field("seconds", Fixed(*secs, 3))
+                        .field("reads_per_sec", Fixed(*reads as f64 / secs, 0))
+                        .field("concurrent_commits", writes);
+                });
+            }
+        });
+        w.field("shard_commits", reg.counter_value("netdb.shard.commits"))
+            .field(
+                "lock_free_reads",
+                reg.counter_value("netdb.shard.read_lock_free"),
+            )
+            .field("wal_records", records.len())
+            .field("gate_failures", bench.failed_gates());
+    })
 }

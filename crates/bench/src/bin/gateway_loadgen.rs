@@ -11,11 +11,12 @@
 //!    batches of read-only workflows as fast as the gateway admits
 //!    them. This is the serving-throughput phase: it measures how many
 //!    tasks/s the reactor + batch admission + worker pool sustain, and
-//!    it is the number the CI gate holds (the seed thread-per-connection
-//!    server topped out at ~1.1k tasks/s here).
+//!    it is the number the CI gate holds (the seed's thread-per-connection
+//!    server, since replaced by the reactor, topped out at ~1.1k tasks/s
+//!    here).
 //!
 //! Both phases run the gateway in-process on an ephemeral port and
-//! *assert* the service invariants: zero lost tasks (every accepted
+//! *gate* the service invariants: zero lost tasks (every accepted
 //! ticket reaches a terminal phase), zero protocol errors, and a
 //! bounded worker count (threads spawned ≤ configured pool size, never
 //! one per task or per connection).
@@ -34,11 +35,15 @@
 //! # sends one SHUTDOWN frame to a running gateway_serve
 //! ```
 
+use occam_bench::Bench;
+use occam_core::PoolStats;
 use occam_gateway::{
     Engine, EngineConfig, GatewayClient, GatewayServer, SubmitReply, SubmitSpec, WirePhase,
 };
+use occam_obs::json::{Fixed, Writer};
+use occam_obs::{HistogramSnapshot, Registry};
 use occam_workload::{synthesize, TraceConfig};
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -49,8 +54,8 @@ const RUN_BUDGET: Duration = Duration::from_secs(120);
 const BURST_CONNS: usize = 1024;
 /// Pipelined SUBMITs per wire batch in the burst phase.
 const BURST_BATCH: usize = 32;
-/// Seed burst throughput (thread-per-connection server) — the CI smoke
-/// gate requires ≥5x this.
+/// Burst throughput of the seed's thread-per-connection server — the CI
+/// smoke gate requires ≥5x this.
 const SEED_BURST_TASKS_PER_SEC: f64 = 1110.0;
 
 /// One planned submission: `(arrival offset, workflow, scope, urgent,
@@ -188,12 +193,47 @@ fn run_client(addr: &str, plan: ClientPlan, start: Instant) -> ClientTally {
     tally
 }
 
-/// Arrival-phase results, pre-rendered as the `"arrival"` JSON object.
-struct ArrivalResult {
-    json: String,
-    summary: String,
+/// `q`-quantile of an optional histogram (0 when nothing was recorded).
+fn pct(snap: &Option<HistogramSnapshot>, q: f64) -> u64 {
+    snap.as_ref().map(|s| s.quantile(q)).unwrap_or(0)
 }
 
+/// The `{p50, p90, p99[, count]}` latency object both phases report.
+fn write_quantiles(w: &mut Writer, snap: &Option<HistogramSnapshot>, with_count: bool) {
+    w.object(|w| {
+        w.field("p50", pct(snap, 0.50))
+            .field("p90", pct(snap, 0.90))
+            .field("p99", pct(snap, 0.99));
+        if with_count {
+            w.field("count", snap.as_ref().map(|s| s.count).unwrap_or(0));
+        }
+    });
+}
+
+fn write_pool(w: &mut Writer, stats: &PoolStats) {
+    w.object(|w| {
+        w.field("size", stats.size)
+            .field("spawned", stats.spawned)
+            .field("peak_active", stats.peak_active)
+            .field("executed", stats.executed);
+    });
+}
+
+/// `{frames_rx, frames_tx, conn_opened, conn_closed[, proto_errors]}`.
+fn write_gateway_counters(w: &mut Writer, reg: &Registry, with_proto_errors: bool) {
+    w.object(|w| {
+        w.field("frames_rx", reg.counter_value("gateway.frames.rx"))
+            .field("frames_tx", reg.counter_value("gateway.frames.tx"))
+            .field("conn_opened", reg.counter_value("gateway.conn.opened"))
+            .field("conn_closed", reg.counter_value("gateway.conn.closed"));
+        if with_proto_errors {
+            w.field("proto_errors", reg.counter_value("gateway.proto.errors"));
+        }
+    });
+}
+
+/// Runs the arrival phase; returns the writer of its `"arrival"` report
+/// object and the one-line summary.
 #[allow(clippy::too_many_arguments)]
 fn arrival_phase(
     clients: usize,
@@ -202,7 +242,8 @@ fn arrival_phase(
     queue_cap: usize,
     window: Duration,
     k: u32,
-) -> ArrivalResult {
+    bench: &mut Bench,
+) -> (impl FnOnce(&mut Writer), String) {
     let (runtime, _ft) = occam::emulated_deployment(1, k);
     let engine = Engine::new(
         runtime,
@@ -251,67 +292,6 @@ fn arrival_phase(
     let submitted = (clients * tasks_per_client) as u64;
     let throughput = total.completed as f64 / wall.as_secs_f64();
     let e2e = reg.histogram_snapshot("gateway.e2e_ns");
-    let queue_wait = reg.histogram_snapshot("gateway.queue_wait_ns");
-    let pct = |snap: &Option<occam::obs::HistogramSnapshot>, q: f64| -> u64 {
-        snap.as_ref().map(|s| s.quantile(q)).unwrap_or(0)
-    };
-
-    let mut json = String::from("  \"arrival\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"config\": {{\"clients\": {clients}, \"tasks_per_client\": {tasks_per_client}, \
-         \"pool_size\": {pool_size}, \"queue_cap\": {queue_cap}, \"fat_tree_k\": {k}}},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"totals\": {{\"submitted\": {submitted}, \"accepted\": {}, \"busy_retries\": {}, \
-         \"rejected\": {}, \"completed\": {}, \"aborted\": {}, \"cancelled\": {}, \"lost\": {}}},",
-        total.accepted,
-        total.busy_retries,
-        total.rejected,
-        total.completed,
-        total.aborted,
-        total.cancelled,
-        total.lost
-    );
-    let _ = writeln!(
-        json,
-        "    \"pool\": {{\"size\": {}, \"spawned\": {}, \"peak_active\": {}, \"executed\": {}}},",
-        stats.size, stats.spawned, stats.peak_active, stats.executed
-    );
-    let _ = writeln!(
-        json,
-        "    \"wall_secs\": {:.3},\n    \"throughput_tasks_per_sec\": {:.1},",
-        wall.as_secs_f64(),
-        throughput
-    );
-    let _ = writeln!(
-        json,
-        "    \"e2e_ns\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"count\": {}}},",
-        pct(&e2e, 0.50),
-        pct(&e2e, 0.90),
-        pct(&e2e, 0.99),
-        e2e.as_ref().map(|s| s.count).unwrap_or(0)
-    );
-    let _ = writeln!(
-        json,
-        "    \"queue_wait_ns\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}}},",
-        pct(&queue_wait, 0.50),
-        pct(&queue_wait, 0.90),
-        pct(&queue_wait, 0.99)
-    );
-    let _ = writeln!(
-        json,
-        "    \"gateway_counters\": {{\"frames_rx\": {}, \"frames_tx\": {}, \"conn_opened\": {}, \
-         \"conn_closed\": {}, \"proto_errors\": {}}}",
-        reg.counter_value("gateway.frames.rx"),
-        reg.counter_value("gateway.frames.tx"),
-        reg.counter_value("gateway.conn.opened"),
-        reg.counter_value("gateway.conn.closed"),
-        reg.counter_value("gateway.proto.errors")
-    );
-    json.push_str("  }");
-
     let summary = format!(
         "[arrival] completed {}/{} ({} aborted, {} cancelled, {} busy retries) in {:.2}s — \
          {:.1} tasks/s; e2e p50/p90/p99 {:.2}/{:.2}/{:.2} ms",
@@ -329,35 +309,63 @@ fn arrival_phase(
     println!("{summary}");
 
     // Service invariants (CI smoke relies on a nonzero exit here).
-    assert_eq!(
-        total.lost, 0,
-        "[arrival] lost tasks: accepted tickets never went terminal"
+    bench.gate(
+        total.lost == 0,
+        format!(
+            "[arrival] every accepted ticket goes terminal ({} lost)",
+            total.lost
+        ),
     );
-    assert_eq!(
-        total.rejected, 0,
-        "[arrival] unexpected typed rejections during steady state"
+    bench.gate(
+        total.rejected == 0,
+        format!(
+            "[arrival] no typed rejections during steady state ({} rejected)",
+            total.rejected
+        ),
     );
-    assert!(
+    bench.gate(
         stats.spawned <= pool_size,
-        "[arrival] worker pool exceeded its bound: spawned {} > pool_size {pool_size}",
-        stats.spawned
+        format!(
+            "[arrival] worker pool within its bound: spawned {} <= pool_size {pool_size}",
+            stats.spawned
+        ),
     );
-    assert!(total.completed > 0, "[arrival] no tasks completed");
-    assert_eq!(
-        reg.counter_value("gateway.proto.errors"),
-        0,
-        "[arrival] protocol errors"
+    bench.gate(total.completed > 0, "[arrival] some task completed");
+    let proto_errors = reg.counter_value("gateway.proto.errors");
+    bench.gate(
+        proto_errors == 0,
+        format!("[arrival] no protocol errors ({proto_errors})"),
     );
 
-    ArrivalResult { json, summary }
-}
-
-/// Burst-phase results, pre-rendered as the `"burst"` JSON object.
-struct BurstResult {
-    json: String,
-    tasks_per_sec: f64,
-    lost: u64,
-    proto_errors: u64,
+    let report = move |w: &mut Writer| {
+        w.object(|w| {
+            w.key("config").object(|w| {
+                w.field("clients", clients)
+                    .field("tasks_per_client", tasks_per_client)
+                    .field("pool_size", pool_size)
+                    .field("queue_cap", queue_cap)
+                    .field("fat_tree_k", k);
+            });
+            w.key("totals").object(|w| {
+                w.field("submitted", submitted)
+                    .field("accepted", total.accepted)
+                    .field("busy_retries", total.busy_retries)
+                    .field("rejected", total.rejected)
+                    .field("completed", total.completed)
+                    .field("aborted", total.aborted)
+                    .field("cancelled", total.cancelled)
+                    .field("lost", total.lost);
+            });
+            write_pool(w.key("pool"), &stats);
+            w.field("wall_secs", Fixed(wall.as_secs_f64(), 3))
+                .field("throughput_tasks_per_sec", Fixed(throughput, 1));
+            write_quantiles(w.key("e2e_ns"), &e2e, true);
+            let queue_wait = reg.histogram_snapshot("gateway.queue_wait_ns");
+            write_quantiles(w.key("queue_wait_ns"), &queue_wait, false);
+            write_gateway_counters(w.key("gateway_counters"), &reg, true);
+        });
+    };
+    (report, summary)
 }
 
 /// Serving-throughput phase: `conns` connections submit `per_conn`
@@ -367,8 +375,14 @@ struct BurstResult {
 /// generator does not need 1024 threads to saturate it). The clock
 /// runs from the post-connect barrier until every admitted task is
 /// terminal, so the number is end-to-end serving throughput, not just
-/// admission rate.
-fn burst_phase(conns: usize, per_conn: usize, pool_size: usize, queue_cap: usize) -> BurstResult {
+/// admission rate. Returns the writer of the `"burst"` report object.
+fn burst_phase(
+    conns: usize,
+    per_conn: usize,
+    pool_size: usize,
+    queue_cap: usize,
+    bench: &mut Bench,
+) -> impl FnOnce(&mut Writer) {
     let k: u32 = 6;
     let total = conns * per_conn;
     let (runtime, _ft) = occam::emulated_deployment(1, k);
@@ -482,105 +496,88 @@ fn burst_phase(conns: usize, per_conn: usize, pool_size: usize, queue_cap: usize
     let tasks_per_sec = accepted as f64 / wall.as_secs_f64();
     let proto_errors = reg.counter_value("gateway.proto.errors");
     let e2e = reg.histogram_snapshot("gateway.e2e_ns");
-    let batch_len = reg.histogram_snapshot("gateway.reactor.batch_len");
-    let pct = |snap: &Option<occam::obs::HistogramSnapshot>, q: f64| -> u64 {
-        snap.as_ref().map(|s| s.quantile(q)).unwrap_or(0)
-    };
-
-    let mut json = String::from("  \"burst\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"conns\": {conns},\n    \"tasks_per_conn\": {per_conn},\n    \
-         \"pipeline_batch\": {BURST_BATCH},\n    \"pool_size\": {pool_size},\n    \
-         \"queue_cap\": {queue_cap},\n    \"shards\": {shards},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"submitted\": {total},\n    \"accepted\": {accepted},\n    \
-         \"busy_retries\": {busy_retries},\n    \"lost\": {lost},\n    \
-         \"proto_errors\": {proto_errors},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"wall_secs\": {:.3},\n    \"tasks_per_sec\": {:.1},",
-        wall.as_secs_f64(),
-        tasks_per_sec
-    );
-    let _ = writeln!(
-        json,
-        "    \"e2e_ns\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"count\": {}}},",
-        pct(&e2e, 0.50),
-        pct(&e2e, 0.90),
-        pct(&e2e, 0.99),
-        e2e.as_ref().map(|s| s.count).unwrap_or(0)
-    );
-    let _ = writeln!(
-        json,
-        "    \"reactor\": {{\"events\": {}, \"wouldblock\": {}, \"batch_len_p50\": {}, \
-         \"batch_len_p99\": {}}},",
-        reg.counter_value("gateway.reactor.events"),
-        reg.counter_value("gateway.reactor.wouldblock"),
-        pct(&batch_len, 0.50),
-        pct(&batch_len, 0.99)
-    );
-    let _ = writeln!(
-        json,
-        "    \"pool\": {{\"size\": {}, \"spawned\": {}, \"peak_active\": {}, \"executed\": {}}},",
-        stats.size, stats.spawned, stats.peak_active, stats.executed
-    );
-    let _ = writeln!(
-        json,
-        "    \"gateway_counters\": {{\"frames_rx\": {}, \"frames_tx\": {}, \"conn_opened\": {}, \
-         \"conn_closed\": {}}}",
-        reg.counter_value("gateway.frames.rx"),
-        reg.counter_value("gateway.frames.tx"),
-        reg.counter_value("gateway.conn.opened"),
-        reg.counter_value("gateway.conn.closed")
-    );
-    json.push_str("  }");
-
     println!(
-        "[burst] {accepted}/{total} tasks over {conns} conns in {:.2}s — {:.0} tasks/s \
+        "[burst] {accepted}/{total} tasks over {conns} conns in {:.2}s — {tasks_per_sec:.0} tasks/s \
          ({busy_retries} busy retries, {lost} lost, {proto_errors} proto errors); \
          e2e p99 {:.2} ms",
         wall.as_secs_f64(),
-        tasks_per_sec,
         pct(&e2e, 0.99) as f64 / 1e6
     );
 
-    assert_eq!(
+    let (opened, closed) = (
         reg.counter_value("gateway.conn.opened"),
         reg.counter_value("gateway.conn.closed"),
-        "[burst] connection leak"
     );
-    assert!(
+    bench.gate(
+        opened == closed,
+        format!("[burst] no connection leak ({opened} opened, {closed} closed)"),
+    );
+    bench.gate(
         stats.spawned <= pool_size,
-        "[burst] worker pool exceeded its bound: spawned {} > pool_size {pool_size}",
-        stats.spawned
+        format!(
+            "[burst] worker pool within its bound: spawned {} <= pool_size {pool_size}",
+            stats.spawned
+        ),
+    );
+    bench.gate(lost == 0, format!("[burst] no lost tasks ({lost} lost)"));
+    bench.gate(
+        proto_errors == 0,
+        format!("[burst] no protocol errors ({proto_errors})"),
+    );
+    let floor = if bench.smoke() {
+        5.0 * SEED_BURST_TASKS_PER_SEC
+    } else {
+        10_000.0
+    };
+    bench.gate(
+        tasks_per_sec >= floor,
+        format!("[burst] throughput {tasks_per_sec:.1} tasks/s >= floor {floor:.1}"),
     );
 
-    BurstResult {
-        json,
-        tasks_per_sec,
-        lost,
-        proto_errors,
+    move |w: &mut Writer| {
+        let batch_len = reg.histogram_snapshot("gateway.reactor.batch_len");
+        w.object(|w| {
+            w.field("conns", conns)
+                .field("tasks_per_conn", per_conn)
+                .field("pipeline_batch", BURST_BATCH)
+                .field("pool_size", pool_size)
+                .field("queue_cap", queue_cap)
+                .field("shards", shards)
+                .field("submitted", total)
+                .field("accepted", accepted)
+                .field("busy_retries", busy_retries)
+                .field("lost", lost)
+                .field("proto_errors", proto_errors)
+                .field("wall_secs", Fixed(wall.as_secs_f64(), 3))
+                .field("tasks_per_sec", Fixed(tasks_per_sec, 1));
+            write_quantiles(w.key("e2e_ns"), &e2e, true);
+            w.key("reactor").object(|w| {
+                w.field("events", reg.counter_value("gateway.reactor.events"))
+                    .field(
+                        "wouldblock",
+                        reg.counter_value("gateway.reactor.wouldblock"),
+                    )
+                    .field("batch_len_p50", pct(&batch_len, 0.50))
+                    .field("batch_len_p99", pct(&batch_len, 0.99));
+            });
+            write_pool(w.key("pool"), &stats);
+            write_gateway_counters(w.key("gateway_counters"), &reg, false);
+        });
     }
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("shutdown") {
-        let addr = args
-            .get(1)
-            .cloned()
+fn main() -> ExitCode {
+    if std::env::args().nth(1).as_deref() == Some("shutdown") {
+        let addr = std::env::args()
+            .nth(2)
             .unwrap_or_else(|| "127.0.0.1:7421".into());
         let mut client = GatewayClient::connect(&addr).expect("connect to gateway");
         client.shutdown().expect("shutdown roundtrip");
         println!("gateway at {addr} acknowledged shutdown");
-        return;
+        return ExitCode::SUCCESS;
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    args.retain(|a| a != "--smoke");
+    let mut bench = Bench::from_args("gateway");
+    let smoke = bench.smoke();
 
     // Smoke defaults keep the arrival phase CI-sized; the burst phase
     // always runs at full connection count (that is the contract under
@@ -590,39 +587,27 @@ fn main() {
     } else {
         (32, 8, 8, 48, 1500)
     };
-    let clients: usize = args
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(d_clients);
-    let tasks_per_client: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(d_tasks);
-    let pool_size: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(d_pool);
-    let queue_cap: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(d_queue);
-    let window =
-        Duration::from_millis(args.get(4).and_then(|s| s.parse().ok()).unwrap_or(d_window));
+    let clients: usize = bench.arg(0, "clients").unwrap_or(d_clients);
+    let tasks_per_client: usize = bench.arg(1, "tasks_per_client").unwrap_or(d_tasks);
+    let pool_size: usize = bench.arg(2, "pool_size").unwrap_or(d_pool);
+    let queue_cap: usize = bench.arg(3, "queue_cap").unwrap_or(d_queue);
+    let window = Duration::from_millis(bench.arg(4, "window_ms").unwrap_or(d_window));
 
-    let arrival = arrival_phase(clients, tasks_per_client, pool_size, queue_cap, window, 6);
-    let burst_per_conn = if smoke { 8 } else { 32 };
-    let burst = burst_phase(BURST_CONNS, burst_per_conn, 2, 16_384);
-
-    let mut json = String::from("{\n");
-    json.push_str(&arrival.json);
-    json.push_str(",\n");
-    json.push_str(&burst.json);
-    json.push_str("\n}\n");
-    std::fs::write("BENCH_gateway.json", &json).expect("write BENCH_gateway.json");
-    println!("wrote BENCH_gateway.json");
-    println!("{}", arrival.summary);
-
-    assert_eq!(burst.lost, 0, "[burst] lost tasks");
-    assert_eq!(burst.proto_errors, 0, "[burst] protocol errors");
-    let floor = if smoke {
-        5.0 * SEED_BURST_TASKS_PER_SEC
-    } else {
-        10_000.0
-    };
-    assert!(
-        burst.tasks_per_sec >= floor,
-        "[burst] throughput gate: {:.1} tasks/s < floor {floor:.1}",
-        burst.tasks_per_sec
+    let (arrival, summary) = arrival_phase(
+        clients,
+        tasks_per_client,
+        pool_size,
+        queue_cap,
+        window,
+        6,
+        &mut bench,
     );
+    let burst_per_conn = if smoke { 8 } else { 32 };
+    let burst = burst_phase(BURST_CONNS, burst_per_conn, 2, 16_384, &mut bench);
+    println!("{summary}");
+
+    bench.finish(|w| {
+        arrival(w.key("arrival"));
+        burst(w.key("burst"));
+    })
 }

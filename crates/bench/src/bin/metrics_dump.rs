@@ -1,5 +1,5 @@
 //! Exercises every instrument in the DESIGN.md §9 metrics contract and
-//! writes `BENCH_obs.json` (hand-rolled JSON; no serde).
+//! writes `BENCH_obs.json`.
 //!
 //! Two registries are dumped:
 //!
@@ -28,6 +28,7 @@
 
 use occam::netdb::attrs;
 use occam::obs::Registry;
+use occam_bench::Bench;
 use occam_objtree::SplitMode;
 use occam_sched::Policy;
 use occam_sim::{run, Granularity, SimConfig};
@@ -564,7 +565,8 @@ fn exercise_repl() -> occam::obs::Registry {
     reg
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
+    let bench = Bench::from_args("obs");
     let runtime = exercise_runtime();
     check_contract("runtime", runtime.obs(), RUNTIME_NAMES);
 
@@ -628,25 +630,15 @@ fn main() {
     );
     check_contract("chaos", &chaos_reg, CHAOS_NAMES);
 
-    let mut out = String::from("{\n  \"runtime\": ");
-    out.push_str(&runtime.obs().to_json());
-    out.push_str(",\n  \"runtime_events\": ");
-    out.push_str(&runtime.obs().events().to_json());
-    out.push_str(",\n  \"sim\": ");
-    out.push_str(&r.obs.to_json());
-    out.push_str(",\n  \"gateway\": ");
-    out.push_str(&gateway_reg.to_json());
-    out.push_str(",\n  \"chaos\": ");
-    out.push_str(&chaos_reg.to_json());
-    out.push_str(",\n  \"repl\": ");
-    out.push_str(&repl_reg.to_json());
-    out.push_str(",\n  \"occ\": ");
-    out.push_str(&occ_rt.obs().to_json());
-    out.push_str(",\n  \"spec\": ");
-    out.push_str(&spec_rt.obs().to_json());
-    out.push_str(",\n  \"update\": ");
-    out.push_str(&update_rt.obs().to_json());
-    out.push_str("\n}\n");
-    std::fs::write("BENCH_obs.json", &out).expect("write BENCH_obs.json");
-    println!("wrote BENCH_obs.json");
+    bench.finish(|w| {
+        w.field("runtime", runtime.obs())
+            .field("runtime_events", runtime.obs().events())
+            .field("sim", &r.obs)
+            .field("gateway", &gateway_reg)
+            .field("chaos", &chaos_reg)
+            .field("repl", &repl_reg)
+            .field("occ", occ_rt.obs())
+            .field("spec", spec_rt.obs())
+            .field("update", update_rt.obs());
+    })
 }

@@ -38,8 +38,9 @@
 //! ```
 
 use occam::netdb::attrs;
+use occam::obs::json::{Fixed, ToJson, Writer};
 use occam::{Isolation, Runtime, TaskState};
-use std::fmt::Write as _;
+use occam_bench::Bench;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -150,31 +151,27 @@ fn run_mode(isolation: Isolation, audits: u32, hold: Duration) -> ModeRun {
     }
 }
 
-fn mode_json(r: &ModeRun) -> String {
-    format!(
-        "{{\"audits_per_s\":{:.1},\"wall_ms\":{:.2},\"writer_commits\":{},\
-         \"occ_commits\":{},\"occ_aborts\":{},\"occ_fallbacks\":{},\
-         \"validate_ns_p50\":{},\"validate_ns_p99\":{},\"certified\":{}}}",
-        r.audits_per_s,
-        r.wall.as_secs_f64() * 1e3,
-        r.writer_commits,
-        r.occ_commits,
-        r.occ_aborts,
-        r.occ_fallbacks,
-        r.validate_p50,
-        r.validate_p99,
-        r.certified
-    )
+impl ToJson for ModeRun {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("audits_per_s", Fixed(self.audits_per_s, 1))
+                .field("wall_ms", Fixed(self.wall.as_secs_f64() * 1e3, 2))
+                .field("writer_commits", self.writer_commits)
+                .field("occ_commits", self.occ_commits)
+                .field("occ_aborts", self.occ_aborts)
+                .field("occ_fallbacks", self.occ_fallbacks)
+                .field("validate_ns_p50", self.validate_p50)
+                .field("validate_ns_p99", self.validate_p99)
+                .field("certified", self.certified);
+        });
+    }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let audits: u32 = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(|a| a.parse().expect("audits must be a number"))
-        .unwrap_or(if smoke { 100 } else { 400 });
+fn main() -> std::process::ExitCode {
+    let mut bench = Bench::from_args("occ");
+    let audits: u32 = bench
+        .arg(0, "audits")
+        .unwrap_or(if bench.smoke() { 100 } else { 400 });
     // The writer's emulated device-RPC latency. Real drain/undrain RPCs
     // sit in the milliseconds; at 1ms the exclusive-lock window dominates
     // the scope's schedule, which is exactly the regime the optimistic
@@ -199,42 +196,31 @@ fn main() {
     );
 
     let speedup = occ.audits_per_s / twopl.audits_per_s;
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"bench\":\"occ_bench\",\"smoke\":{smoke},\"audits\":{audits},\
-         \"writer_hold_us\":{},\"twopl\":{},\"occ\":{},\"speedup\":{speedup:.2}}}",
-        hold.as_micros(),
-        mode_json(&twopl),
-        mode_json(&occ)
+    bench.gate(
+        speedup >= 2.0,
+        format!("OCC read-mostly speedup {speedup:.2}x >= 2.0x over 2PL"),
     );
-    std::fs::write("BENCH_occ.json", &json).expect("write BENCH_occ.json");
-    println!("wrote BENCH_occ.json");
-
-    let mut failed = false;
-    if speedup < 2.0 {
-        eprintln!("FAIL: OCC read-mostly speedup {speedup:.2}x < 2.0x over 2PL");
-        failed = true;
-    }
-    if occ.occ_commits != u64::from(audits) + 1 {
-        eprintln!(
-            "FAIL: {} optimistic commits for {} audits (+1 warm-up)",
-            occ.occ_commits, audits
-        );
-        failed = true;
-    }
-    if occ.occ_aborts != 0 || occ.occ_fallbacks != 0 {
-        eprintln!(
-            "FAIL: read-only audits conflicted ({} aborts, {} fallbacks)",
+    bench.gate(
+        occ.occ_commits == u64::from(audits) + 1,
+        format!(
+            "{} optimistic commits for {audits} audits (+1 warm-up)",
+            occ.occ_commits
+        ),
+    );
+    bench.gate(
+        occ.occ_aborts == 0 && occ.occ_fallbacks == 0,
+        format!(
+            "read-only audits never conflict ({} aborts, {} fallbacks)",
             occ.occ_aborts, occ.occ_fallbacks
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "gates passed: {speedup:.2}x OCC speedup, serializable in both modes, \
-         zero optimistic aborts"
+        ),
     );
+    bench.finish(|w| {
+        w.field("bench", "occ_bench")
+            .field("smoke", bench.smoke())
+            .field("audits", audits)
+            .field("writer_hold_us", hold.as_micros())
+            .field("twopl", &twopl)
+            .field("occ", &occ)
+            .field("speedup", Fixed(speedup, 2));
+    })
 }

@@ -34,9 +34,10 @@
 //! ```
 
 use occam::netdb::{Database, ReadView, ReplicaConfig, ReplicaSet};
+use occam::obs::json::Fixed;
 use occam::obs::Registry;
+use occam_bench::Bench;
 use occam_regex::Pattern;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,17 +60,14 @@ fn read_rate(read_view: impl Fn() -> ReadView, scope: &Pattern, reads: u32) -> f
     f64::from(reads) / elapsed
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut positional = args.iter().filter(|a| !a.starts_with("--"));
-    let writes: u32 = positional
-        .next()
-        .map(|a| a.parse().expect("writes must be a number"))
+fn main() -> std::process::ExitCode {
+    let mut bench = Bench::from_args("repl");
+    let smoke = bench.smoke();
+    let writes: u32 = bench
+        .arg(0, "writes")
         .unwrap_or(if smoke { 300 } else { 2000 });
-    let reads: u32 = positional
-        .next()
-        .map(|a| a.parse().expect("reads must be a number"))
+    let reads: u32 = bench
+        .arg(1, "reads")
         .unwrap_or(if smoke { 500 } else { 3000 });
 
     let reg = Registry::new();
@@ -137,40 +135,35 @@ fn main() {
     );
     set.shutdown();
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"bench\":\"repl_throughput\",\"smoke\":{smoke},\"writes\":{writes},\
-         \"reads_per_node\":{reads},\"followers\":{FOLLOWERS},\
-         \"write_rate_per_s\":{write_rate:.1},\"lag_ns_p50\":{lag_p50},\"lag_ns_p99\":{lag_p99},\
-         \"leader_reads_per_s\":{leader_rate:.1},\"follower_reads_per_s_total\":{follower_total:.1},\
-         \"read_ratio\":{read_ratio:.3},\"failover_ns\":{failover_ns},\
-         \"promoted\":{},\"promoted_commits\":{},\"lost_acked\":{lost_acked},\
-         \"converged\":{}}}",
-        promotion.promoted,
-        promotion.promoted_commits,
-        converged_after_writes && converged_after_failover
+    let converged = converged_after_writes && converged_after_failover;
+    bench.gate(
+        acked >= target && converged,
+        format!("replication converges (acked {acked}/{target})"),
     );
-    std::fs::write("BENCH_repl.json", &json).expect("write BENCH_repl.json");
-    println!("wrote BENCH_repl.json");
-
-    let mut failed = false;
-    if acked < target || !converged_after_writes || !converged_after_failover {
-        eprintln!("FAIL: replication did not converge");
-        failed = true;
-    }
-    if lost_acked > 0 {
-        eprintln!("FAIL: failover lost {lost_acked} acknowledged commits");
-        failed = true;
-    }
-    if read_ratio < 2.0 {
-        eprintln!("FAIL: follower read throughput {read_ratio:.2}x < 2.0x single-node");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "gates passed: converged, zero lost acked commits, {read_ratio:.2}x follower read scale-out"
+    bench.gate(
+        lost_acked == 0,
+        format!("failover loses no acknowledged commit ({lost_acked} lost)"),
     );
+    bench.gate(
+        read_ratio >= 2.0,
+        format!("follower read throughput {read_ratio:.2}x >= 2.0x single-node"),
+    );
+    bench.finish(|w| {
+        w.field("bench", "repl_throughput")
+            .field("smoke", smoke)
+            .field("writes", writes)
+            .field("reads_per_node", reads)
+            .field("followers", FOLLOWERS)
+            .field("write_rate_per_s", Fixed(write_rate, 1))
+            .field("lag_ns_p50", lag_p50)
+            .field("lag_ns_p99", lag_p99)
+            .field("leader_reads_per_s", Fixed(leader_rate, 1))
+            .field("follower_reads_per_s_total", Fixed(follower_total, 1))
+            .field("read_ratio", Fixed(read_ratio, 3))
+            .field("failover_ns", failover_ns)
+            .field("promoted", promotion.promoted)
+            .field("promoted_commits", promotion.promoted_commits)
+            .field("lost_acked", lost_acked)
+            .field("converged", converged);
+    })
 }

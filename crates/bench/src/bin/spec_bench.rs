@@ -33,10 +33,11 @@
 //! ```
 
 use occam::netdb::{attrs, compliance_cold, Database, WriteOp};
+use occam::obs::json::Fixed;
 use occam::obs::Registry;
 use occam::regex::Pattern;
 use occam::spec::compile_source;
-use std::fmt::Write as _;
+use occam_bench::Bench;
 use std::time::{Duration, Instant};
 
 /// Switches per pod (the paper's ~92-switch pod: 80 ToR + 8 agg + 4
@@ -101,8 +102,9 @@ fn dirty_batch(shape: &Shape, round: u32) -> Vec<WriteOp> {
         .collect()
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+fn main() -> std::process::ExitCode {
+    let mut bench = Bench::from_args("spec");
+    let smoke = bench.smoke();
     let shape = if smoke {
         Shape {
             dcs: 4,
@@ -141,7 +143,6 @@ fn main() {
     let mut incr_total = Duration::ZERO;
     let mut cold_total = Duration::ZERO;
     let mut max_recomputed = 0u64;
-    let mut failed = false;
     for round in 0..shape.rounds {
         db.batch(&dirty_batch(&shape, round)).expect("dirty batch");
         let snap = db.read_view();
@@ -154,22 +155,22 @@ fn main() {
         let cold = compliance_cold(&snap, &scope, &expects);
         cold_total += started.elapsed();
 
-        if !incr.same_result(&cold) {
-            eprintln!(
-                "FAIL: round {round}: incremental {} != cold {}",
+        bench.gate(
+            incr.same_result(&cold),
+            format!(
+                "round {round}: incremental {} == cold {}",
                 incr.summary(5),
                 cold.summary(5)
-            );
-            failed = true;
-        }
+            ),
+        );
         max_recomputed = max_recomputed.max(incr.recomputed_shards);
-        if incr.recomputed_shards > shape.dirty_pods as u64 {
-            eprintln!(
-                "FAIL: round {round}: {} shards recomputed for {} dirty pods",
+        bench.gate(
+            incr.recomputed_shards <= shape.dirty_pods as u64,
+            format!(
+                "round {round}: {} shards recomputed for {} dirty pods",
                 incr.recomputed_shards, shape.dirty_pods
-            );
-            failed = true;
-        }
+            ),
+        );
     }
 
     let speedup = cold_total.as_secs_f64() / incr_total.as_secs_f64();
@@ -181,33 +182,26 @@ fn main() {
         cold_us, incr_us
     );
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"bench\":\"spec_bench\",\"smoke\":{smoke},\"devices\":{devices},\
-         \"dirty_pods\":{},\"rounds\":{},\"warm_scan_us\":{:.0},\
-         \"cold_us_per_round\":{cold_us:.0},\"incremental_us_per_round\":{incr_us:.0},\
-         \"speedup\":{speedup:.2},\"max_recomputed_shards\":{max_recomputed},\
-         \"view_refreshes\":{},\"view_shard_hits\":{},\"view_dirty_shards\":{}}}",
-        shape.dirty_pods,
-        shape.rounds,
-        warm_elapsed.as_secs_f64() * 1e6,
-        reg.counter_value("netdb.view.refreshes"),
-        reg.counter_value("netdb.view.hits"),
-        reg.counter_value("netdb.view.dirty_shards"),
+    bench.gate(
+        speedup >= 10.0,
+        format!("incremental re-audit speedup {speedup:.2}x >= 10x over cold scan"),
     );
-    std::fs::write("BENCH_spec.json", &json).expect("write BENCH_spec.json");
-    println!("wrote BENCH_spec.json");
-
-    if speedup < 10.0 {
-        eprintln!("FAIL: incremental re-audit speedup {speedup:.2}x < 10x over cold scan");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "gates passed: {speedup:.1}x incremental speedup over {devices} devices, \
-         incremental == cold on every round"
-    );
+    bench.finish(|w| {
+        w.field("bench", "spec_bench")
+            .field("smoke", smoke)
+            .field("devices", devices)
+            .field("dirty_pods", shape.dirty_pods)
+            .field("rounds", shape.rounds)
+            .field("warm_scan_us", Fixed(warm_elapsed.as_secs_f64() * 1e6, 0))
+            .field("cold_us_per_round", Fixed(cold_us, 0))
+            .field("incremental_us_per_round", Fixed(incr_us, 0))
+            .field("speedup", Fixed(speedup, 2))
+            .field("max_recomputed_shards", max_recomputed)
+            .field("view_refreshes", reg.counter_value("netdb.view.refreshes"))
+            .field("view_shard_hits", reg.counter_value("netdb.view.hits"))
+            .field(
+                "view_dirty_shards",
+                reg.counter_value("netdb.view.dirty_shards"),
+            );
+    })
 }

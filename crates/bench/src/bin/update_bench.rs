@@ -24,10 +24,11 @@
 //! ```
 
 use occam::netdb::{attrs, StoreSnapshot, WalRecord};
+use occam::obs::json::Fixed;
 use occam::regex::Pattern;
 use occam::topology::{FatTree, Role};
 use occam::update::{diff, Synthesizer, TrafficClass};
-use std::fmt::Write as _;
+use occam_bench::Bench;
 use std::time::Instant;
 
 /// Replays the fabric's switch inventory into a scratch store: every
@@ -46,8 +47,9 @@ fn baseline_records(ft: &FatTree) -> Vec<WalRecord> {
         .collect()
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+fn main() -> std::process::ExitCode {
+    let mut bench = Bench::from_args("update");
+    let smoke = bench.smoke();
     let k: u32 = if smoke { 8 } else { 82 };
     let ft = FatTree::build(1, k).expect("valid fat-tree arity");
     let devices = ft.topo.devices().count();
@@ -138,38 +140,35 @@ fn main() {
         violations.len(),
     );
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\"bench\":\"update_bench\",\"smoke\":{smoke},\"k\":{k},\
-         \"devices\":{devices},\"switches\":{switches},\
-         \"classes\":{},\"ops\":{},\"synth_waves\":{},\"naive_waves\":{naive_waves},\
-         \"wave_reduction\":{reduction:.2},\"checks\":{},\"splits\":{},\
-         \"barriers\":{},\"counterexamples\":{},\"diff_ms\":{diff_ms:.3},\
-         \"synth_ms\":{synth_ms:.3},\"verify_ms\":{verify_ms:.3},\
-         \"verify_violations\":{}}}",
-        classes.len(),
-        stats.ops,
-        plan.serial_len(),
-        stats.checks,
-        stats.splits,
-        stats.barriers,
-        stats.counterexamples,
-        violations.len(),
+    bench.gate(
+        violations.is_empty(),
+        format!("synthesized plan passes independent verification ({violations:?})"),
     );
-    std::fs::write("BENCH_update.json", &json).expect("write BENCH_update.json");
-    println!("wrote BENCH_update.json");
-
-    if !violations.is_empty() {
-        eprintln!("FAIL: synthesized plan failed verification: {violations:?}");
-        std::process::exit(1);
-    }
-    if naive_waves < 2 * plan.serial_len() {
-        eprintln!(
-            "FAIL: expected >=2x fewer serial waves than naive ({} vs {naive_waves})",
+    bench.gate(
+        naive_waves >= 2 * plan.serial_len(),
+        format!(
+            "naive ordering needs >=2x the serial waves ({naive_waves} vs {})",
             plan.serial_len()
-        );
-        std::process::exit(1);
-    }
-    println!("gates hold: zero violations, {reduction:.0}x fewer serial waves than naive ordering");
+        ),
+    );
+    bench.finish(|w| {
+        w.field("bench", "update_bench")
+            .field("smoke", smoke)
+            .field("k", k)
+            .field("devices", devices)
+            .field("switches", switches)
+            .field("classes", classes.len())
+            .field("ops", stats.ops)
+            .field("synth_waves", plan.serial_len())
+            .field("naive_waves", naive_waves)
+            .field("wave_reduction", Fixed(reduction, 2))
+            .field("checks", stats.checks)
+            .field("splits", stats.splits)
+            .field("barriers", stats.barriers)
+            .field("counterexamples", stats.counterexamples)
+            .field("diff_ms", Fixed(diff_ms, 3))
+            .field("synth_ms", Fixed(synth_ms, 3))
+            .field("verify_ms", Fixed(verify_ms, 3))
+            .field("verify_violations", violations.len());
+    })
 }

@@ -19,18 +19,17 @@
 //! with injectors *paused* (pausing skips fault checks without advancing
 //! their sequence counters, so the fault streams stay aligned).
 
-use crate::report::CampaignReport;
+use crate::report::{CampaignReport, Violations};
 use crate::scenario::{Scenario, ScenarioKind};
 use crate::snapshot::StateSnapshot;
-use occam_core::{execute_rollback, RetryPolicy, Runtime, TaskState};
-use occam_emunet::{EmuNet, EmuService, FaultyService, LatencyPlan};
-use occam_netdb::{attrs, db::Store, AttrValue, Database, FaultPlan, StoreSnapshot};
+use crate::substrate::Substrate;
+use occam_core::{execute_rollback, RetryPolicy, TaskState};
+use occam_emunet::LatencyPlan;
+use occam_netdb::{db::Store, Database, FaultPlan, StoreSnapshot};
 use occam_obs::{Counter, Registry};
-use occam_sched::Policy;
-use occam_topology::{FatTree, Role};
+use occam_topology::Role;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Salts XOR-ed into the campaign seed so each fault stream is
@@ -133,11 +132,7 @@ impl ChaosObs {
 /// One seeded fault campaign over a fresh emulated substrate.
 pub struct Campaign {
     cfg: CampaignConfig,
-    reg: Registry,
-    db: Arc<Database>,
-    inner: Arc<EmuService>,
-    faulty: Arc<FaultyService>,
-    rt: Runtime,
+    sub: Substrate,
     obs: ChaosObs,
     /// Region scopes the RNG draws from.
     scopes: Vec<String>,
@@ -146,57 +141,29 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Builds the substrate: a `FatTree(1, 4)` fabric, a database seeded
-    /// with every non-host device (active, firmware `fw-1.0.0` — matching
-    /// the emulated switch default so rollback can restore firmware from
-    /// the database), and the two fault injectors armed from the config.
+    /// Builds the substrate — a `FatTree(1, 4)` fabric mirrored into a
+    /// seeded database (every non-host device active on `fw-1.0.0`) behind
+    /// a faultable device service — with the two fault injectors and the
+    /// latency plan armed from the config.
     pub fn new(cfg: CampaignConfig) -> Campaign {
-        let reg = Registry::new();
-        let ft = FatTree::build(1, 4).expect("k=4 fat tree");
-        let db = Arc::new(Database::with_obs(&reg));
-        let mut singles = Vec::new();
-        for (_, d) in ft.topo.devices() {
-            if d.role == Role::Host {
-                continue;
-            }
-            db.insert_device(
-                &d.name,
-                vec![
-                    (attrs::DEVICE_STATUS.into(), attrs::STATUS_ACTIVE.into()),
-                    (attrs::FIRMWARE_VERSION.into(), AttrValue::from("fw-1.0.0")),
-                ],
-            )
-            .expect("seed device");
-            singles.push(d.name.clone());
-        }
-        singles.sort();
-        let inner = Arc::new(EmuService::new(EmuNet::from_fattree(&ft)));
-        let faulty = Arc::new(FaultyService::new(
-            inner.clone(),
-            FaultPlan::builder()
-                .rate(cfg.fault_rate)
-                .seed(cfg.seed ^ DEVICE_SALT)
-                .build(),
-        ));
-        faulty.set_latency(LatencyPlan::new(
+        let sub = Substrate::build(
+            FaultPlan::random(cfg.fault_rate, cfg.seed ^ DEVICE_SALT),
+            FaultPlan::random(cfg.fault_rate, cfg.seed ^ DB_SALT),
+        );
+        sub.faulty.set_latency(LatencyPlan::new(
             cfg.latency_rate,
             cfg.latency,
             cfg.seed ^ LATENCY_SALT,
         ));
-        // Arm the query injector only after seeding the database.
-        db.set_fault_plan(
-            FaultPlan::builder()
-                .rate(cfg.fault_rate)
-                .seed(cfg.seed ^ DB_SALT)
-                .build(),
-        );
-        let rt = Runtime::with_obs(
-            db.clone(),
-            faulty.clone() as Arc<dyn occam_emunet::DeviceService>,
-            Policy::Ldsf,
-            &reg,
-        );
-        let obs = ChaosObs::bind(&reg);
+        let mut singles: Vec<String> = sub
+            .ft
+            .topo
+            .devices()
+            .filter(|(_, d)| d.role != Role::Host)
+            .map(|(_, d)| d.name.clone())
+            .collect();
+        singles.sort();
+        let obs = ChaosObs::bind(&sub.reg);
         let scopes = vec![
             "dc01.pod00.*".to_string(),
             "dc01.pod01.*".to_string(),
@@ -210,11 +177,7 @@ impl Campaign {
         ];
         Campaign {
             cfg,
-            reg,
-            db,
-            inner,
-            faulty,
-            rt,
+            sub,
             obs,
             scopes,
             singles,
@@ -223,14 +186,7 @@ impl Campaign {
 
     /// The campaign's shared metrics registry (`core.*`, `chaos.*`, …).
     pub fn registry(&self) -> &Registry {
-        &self.reg
-    }
-
-    /// Pause (`false`) or resume (`true`) every fault layer without
-    /// advancing the seeded streams.
-    fn faults_enabled(&self, on: bool) {
-        self.db.faults().set_enabled(on);
-        self.faulty.set_enabled(on);
+        &self.sub.reg
     }
 
     fn next_scenario(&self, rng: &mut StdRng, t: u32) -> Scenario {
@@ -256,11 +212,11 @@ impl Campaign {
             let stuck = self.cfg.stuck_every > 0 && (t + 1) % self.cfg.stuck_every == 0;
             if stuck {
                 let victim = &self.singles[rng.random_range(0usize..self.singles.len())];
-                self.faulty.stick_device(victim.clone());
+                self.sub.faulty.stick_device(victim.clone());
             }
             self.run_one(&scenario, &mut report);
             if stuck {
-                self.faulty.unstick_all();
+                self.sub.faulty.unstick_all();
             }
             if self.cfg.crash_every > 0 && (t + 1) % self.cfg.crash_every == 0 {
                 self.crash_point(&mut rng, &mut report);
@@ -274,15 +230,16 @@ impl Campaign {
         self.obs.tasks.inc();
         report.tasks += 1;
         // Snapshots bypass the injectors, so capturing is always safe.
-        let pre = StateSnapshot::capture(&self.db, &self.inner);
+        let pre = StateSnapshot::capture(&self.sub.db, &self.sub.inner);
         let task_report = self
+            .sub
             .rt
             .task(scenario.name())
             .retry(self.cfg.retry.clone())
             .run(scenario.program());
         // Verification and recovery run fault-free; pausing does not
         // advance the seeded streams.
-        self.faults_enabled(false);
+        self.sub.faults_enabled(false);
         match task_report.state {
             TaskState::Completed => {
                 self.obs.completed.inc();
@@ -290,12 +247,12 @@ impl Campaign {
                 let check = match scenario.kind {
                     // Read-only work must leave everything untouched.
                     ScenarioKind::Audit => {
-                        let post = StateSnapshot::capture(&self.db, &self.inner);
+                        let post = StateSnapshot::capture(&self.sub.db, &self.sub.inner);
                         pre.first_diff(&post)
                             .map(|d| format!("audit changed state: {d}"))
                             .map_or(Ok(()), Err)
                     }
-                    _ => scenario.check_postcondition(&self.db, &self.inner),
+                    _ => scenario.check_postcondition(&self.sub.db, &self.sub.inner),
                 };
                 if let Err(why) = check {
                     self.violation(report, format!("{}: {why}", scenario.name()));
@@ -304,7 +261,7 @@ impl Campaign {
             TaskState::Aborted => {
                 if task_report.rollback.is_some() {
                     if let Err(e) =
-                        execute_rollback(&task_report, &self.db, self.rt.service().as_ref())
+                        execute_rollback(&task_report, &self.sub.db, self.sub.rt.service().as_ref())
                     {
                         self.violation(
                             report,
@@ -312,7 +269,7 @@ impl Campaign {
                         );
                     }
                 }
-                let post = StateSnapshot::capture(&self.db, &self.inner);
+                let post = StateSnapshot::capture(&self.sub.db, &self.sub.inner);
                 match pre.first_diff(&post) {
                     None => {
                         self.obs.rolled_back.inc();
@@ -331,26 +288,26 @@ impl Campaign {
                 );
             }
         }
-        self.faults_enabled(true);
+        self.sub.faults_enabled(true);
     }
 
     /// Simulates a crash: the WAL must recover to exactly the live state,
     /// and replaying a seeded prefix (a torn shutdown) must be total and
     /// identical under the sharded and the naive replay implementations.
     fn crash_point(&mut self, rng: &mut StdRng, report: &mut CampaignReport) {
-        self.faults_enabled(false);
+        self.sub.faults_enabled(false);
         self.obs.crashes.inc();
         report.crashes += 1;
-        let text = self.db.dump_wal();
+        let text = self.sub.db.dump_wal();
         match Database::recover(&text) {
             Ok(recovered) => {
-                if recovered.read_view() != self.db.read_view() {
+                if recovered.read_view() != self.sub.db.read_view() {
                     self.violation(report, "WAL replay diverged from live state".to_string());
                 }
             }
             Err(e) => self.violation(report, format!("WAL failed to decode: {e}")),
         }
-        let records = self.db.wal_records();
+        let records = self.sub.db.wal_records();
         if !records.is_empty() {
             let k = rng.random_range(0usize..=records.len());
             let sharded = StoreSnapshot::replay(&records[..k]);
@@ -364,67 +321,54 @@ impl Campaign {
                 self.violation(report, format!("sharded replay broke invariants: {e}"));
             }
         }
-        self.faults_enabled(true);
+        self.sub.faults_enabled(true);
     }
 
     fn violation(&self, report: &mut CampaignReport, why: String) {
         self.obs.violations.inc();
-        report.invariant_violations += 1;
-        if report.first_violation.is_none() {
-            report.first_violation = Some(why);
-        }
+        report.violation(why);
     }
 
     /// Folds the fault-layer counters into the report and runs the
     /// gateway and replication phases, if configured.
     fn finish(self, mut report: CampaignReport) -> CampaignReport {
-        report.retries = self.reg.counter_value("core.task.retries");
-        report.retry_rollback_failed = self.reg.counter_value("core.task.retry_rollback_failed");
-        report.db_faults = self.db.faults().failures_injected();
-        report.device_faults = self.faulty.injector().failures_injected();
-        report.latency_spikes = self.faulty.spikes_fired();
-        report.stuck_hits = self.faulty.stuck_hits();
+        report.retries = self.sub.reg.counter_value("core.task.retries");
+        report.retry_rollback_failed = self
+            .sub
+            .reg
+            .counter_value("core.task.retry_rollback_failed");
+        report.db_faults = self.sub.db.faults().failures_injected();
+        report.device_faults = self.sub.faulty.injector().failures_injected();
+        report.latency_spikes = self.sub.faulty.spikes_fired();
+        report.stuck_hits = self.sub.faulty.stuck_hits();
         self.obs.db_faults.add(report.db_faults);
         self.obs.device_faults.add(report.device_faults);
         if let Some(gw_cfg) = &self.cfg.gateway {
             let gw = crate::gateway::run_gateway_phase(gw_cfg);
-            report.invariant_violations += gw.leaked_records;
-            if gw.leaked_records > 0 && report.first_violation.is_none() {
-                report.first_violation =
-                    Some(format!("{} gateway job records leaked", gw.leaked_records));
-            }
+            report.add_violations(
+                gw.leaked_records,
+                Some(format!("{} gateway job records leaked", gw.leaked_records)),
+            );
             report.gateway = Some(gw);
         }
         if let Some(repl_cfg) = &self.cfg.repl {
             let repl = crate::repl::run_repl_phase(repl_cfg);
-            report.invariant_violations += repl.violations;
-            if repl.violations > 0 && report.first_violation.is_none() {
-                report.first_violation = repl.first_violation.clone();
-            }
+            report.add_violations(repl.violations, repl.first_violation.clone());
             report.repl = Some(repl);
         }
         if let Some(update_cfg) = &self.cfg.update {
             let update = crate::update::run_update_phase(update_cfg);
-            report.invariant_violations += update.violations;
-            if update.violations > 0 && report.first_violation.is_none() {
-                report.first_violation = update.first_violation.clone();
-            }
+            report.add_violations(update.violations, update.first_violation.clone());
             report.update = Some(update);
         }
         if let Some(occ_cfg) = &self.cfg.occ {
             let occ = crate::occ::run_occ_phase(occ_cfg);
-            report.invariant_violations += occ.violations;
-            if occ.violations > 0 && report.first_violation.is_none() {
-                report.first_violation = occ.first_violation.clone();
-            }
+            report.add_violations(occ.violations, occ.first_violation.clone());
             report.occ = Some(occ);
         }
         if let Some(spec_cfg) = &self.cfg.spec {
             let spec = crate::spec::run_spec_phase(spec_cfg);
-            report.invariant_violations += spec.violations;
-            if spec.violations > 0 && report.first_violation.is_none() {
-                report.first_violation = spec.first_violation.clone();
-            }
+            report.add_violations(spec.violations, spec.first_violation.clone());
             report.spec = Some(spec);
         }
         report

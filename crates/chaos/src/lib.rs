@@ -50,6 +50,7 @@ pub mod report;
 pub mod scenario;
 pub mod snapshot;
 pub mod spec;
+mod substrate;
 pub mod update;
 
 pub use campaign::{Campaign, CampaignConfig};

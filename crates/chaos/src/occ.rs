@@ -24,15 +24,12 @@
 //! certifier verdicts — not conflict/retry counters). Campaign 2 is
 //! single-threaded with a seeded fault stream, so its counts are exact.
 
-use crate::report::OccChaosReport;
+use crate::report::{OccChaosReport, Violations};
+use crate::substrate::Substrate;
 use occam_cert::Certifier;
 use occam_core::{Isolation, RetryPolicy, Runtime, TaskError, TaskState};
-use occam_emunet::{EmuNet, EmuService, FaultyService};
-use occam_netdb::{attrs, AttrValue, Database, FaultPlan};
-use occam_obs::Registry;
+use occam_netdb::{attrs, AttrValue, FaultPlan};
 use occam_regex::Pattern;
-use occam_sched::Policy;
-use occam_topology::{FatTree, Role};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -71,66 +68,16 @@ impl Default for OccChaosConfig {
     }
 }
 
-/// One fresh substrate mirroring the main campaign's: a `FatTree(1, 4)`
-/// fabric in a seeded database behind a faultable device service, with a
-/// certifier attached to the runtime.
-struct Substrate {
-    reg: Registry,
-    db: Arc<Database>,
-    faulty: Arc<FaultyService>,
-    rt: Runtime,
-    cert: Arc<Certifier>,
-}
-
-impl Substrate {
-    fn build(seed: u64, fault_rate: f64) -> Substrate {
-        let reg = Registry::new();
-        let ft = FatTree::build(1, 4).expect("k=4 fat tree");
-        let db = Arc::new(Database::with_obs(&reg));
-        for (_, d) in ft.topo.devices() {
-            if d.role == Role::Host {
-                continue;
-            }
-            db.insert_device(
-                &d.name,
-                vec![
-                    (attrs::DEVICE_STATUS.into(), attrs::STATUS_ACTIVE.into()),
-                    (attrs::FIRMWARE_VERSION.into(), AttrValue::from("fw-1.0.0")),
-                ],
-            )
-            .expect("seed device");
-        }
-        let inner = Arc::new(EmuService::new(EmuNet::from_fattree(&ft)));
-        let faulty = Arc::new(FaultyService::new(
-            inner,
-            FaultPlan::builder()
-                .rate(fault_rate)
-                .seed(seed ^ OCC_SALT)
-                .build(),
-        ));
-        let rt = Runtime::with_obs(
-            db.clone(),
-            faulty.clone() as Arc<dyn occam_emunet::DeviceService>,
-            Policy::Ldsf,
-            &reg,
-        );
-        let cert = Arc::new(Certifier::with_obs(&reg));
-        rt.attach_certifier(Arc::clone(&cert));
-        Substrate {
-            reg,
-            db,
-            faulty,
-            rt,
-            cert,
-        }
-    }
-}
-
-fn violation(report: &mut OccChaosReport, why: String) {
-    report.violations += 1;
-    if report.first_violation.is_none() {
-        report.first_violation = Some(why);
-    }
+/// A fresh [`Substrate`] with device faults at `fault_rate` and a
+/// certifier attached to its runtime.
+fn certified_substrate(seed: u64, fault_rate: f64) -> (Substrate, Arc<Certifier>) {
+    let sub = Substrate::build(
+        FaultPlan::random(fault_rate, seed ^ OCC_SALT),
+        FaultPlan::none(),
+    );
+    let cert = Arc::new(Certifier::with_obs(&sub.reg));
+    sub.rt.attach_certifier(Arc::clone(&cert));
+    (sub, cert)
 }
 
 /// One read-modify-write increment of the contended counter.
@@ -154,7 +101,7 @@ fn increment_task(rt: &Runtime, name: &str, isolation: Isolation) -> bool {
 
 /// Campaign 1: concurrent mixed-isolation increments on one row.
 fn contended_increments(cfg: &OccChaosConfig, report: &mut OccChaosReport) {
-    let sub = Substrate::build(cfg.seed, 0.0);
+    let (sub, cert) = certified_substrate(cfg.seed, 0.0);
     std::thread::scope(|s| {
         for w in 0..cfg.writers {
             let rt = sub.rt.clone();
@@ -192,29 +139,22 @@ fn contended_increments(cfg: &OccChaosConfig, report: &mut OccChaosReport) {
     let lost = tasks.saturating_sub(u64::try_from(finl).unwrap_or(0));
     report.lost_updates += lost;
     if lost > 0 {
-        violation(
-            report,
-            format!("lost updates: counter {finl} after {tasks} increments"),
-        );
+        report.violation(format!(
+            "lost updates: counter {finl} after {tasks} increments"
+        ));
     }
-    if sub.cert.committed() != tasks {
-        violation(
-            report,
-            format!(
-                "certifier ingested {} footprints for {tasks} committed tasks",
-                sub.cert.committed()
-            ),
-        );
+    if cert.committed() != tasks {
+        report.violation(format!(
+            "certifier ingested {} footprints for {tasks} committed tasks",
+            cert.committed()
+        ));
     }
-    report.certified_commits += sub.cert.committed();
-    if !sub.cert.is_acyclic() {
-        violation(
-            report,
-            format!(
-                "certifier found a conflict cycle: {}",
-                sub.cert.first_violation().unwrap_or_default()
-            ),
-        );
+    report.certified_commits += cert.committed();
+    if !cert.is_acyclic() {
+        report.violation(format!(
+            "certifier found a conflict cycle: {}",
+            cert.first_violation().unwrap_or_default()
+        ));
     }
     sub.rt.detach_certifier();
 }
@@ -222,7 +162,7 @@ fn contended_increments(cfg: &OccChaosConfig, report: &mut OccChaosReport) {
 /// Campaign 2: sequential OCC tasks that must fall back (they `apply()`)
 /// and then survive seeded transient device faults under 2PL retries.
 fn fallback_under_faults(cfg: &OccChaosConfig, report: &mut OccChaosReport) {
-    let sub = Substrate::build(cfg.seed, cfg.fault_rate);
+    let (sub, cert) = certified_substrate(cfg.seed, cfg.fault_rate);
     let scope = Pattern::from_glob("dc01.pod01.*").expect("glob");
     let retry = RetryPolicy::attempts(6)
         .with_backoff(Duration::from_micros(50), Duration::from_micros(200))
@@ -258,10 +198,7 @@ fn fallback_under_faults(cfg: &OccChaosConfig, report: &mut OccChaosReport) {
                 let statuses = sub.db.read_view().get_attr(&scope, attrs::DEVICE_STATUS);
                 for (name, v) in &statuses {
                     if v.as_str() != Some(want) {
-                        violation(
-                            report,
-                            format!("fallback task {t}: {name} status not {want}"),
-                        );
+                        report.violation(format!("fallback task {t}: {name} status not {want}"));
                     }
                 }
             }
@@ -271,36 +208,29 @@ fn fallback_under_faults(cfg: &OccChaosConfig, report: &mut OccChaosReport) {
                 report.exhausted_retries += 1;
                 match task_report.error {
                     Some(TaskError::Device(_)) | Some(TaskError::Db(_)) => {}
-                    other => violation(
-                        report,
-                        format!("fallback task {t} aborted with non-transient {other:?}"),
-                    ),
+                    other => report.violation(format!(
+                        "fallback task {t} aborted with non-transient {other:?}"
+                    )),
                 }
             }
-            other => violation(report, format!("fallback task {t}: final state {other:?}")),
+            other => report.violation(format!("fallback task {t}: final state {other:?}")),
         }
         sub.faulty.set_enabled(true);
     }
     report.fallbacks_fired += sub.reg.counter_value("core.occ.fallbacks");
     if report.fallbacks_fired != u64::from(cfg.fallback_tasks) {
-        violation(
-            report,
-            format!(
-                "{} fallbacks fired for {} apply-bearing OCC tasks",
-                report.fallbacks_fired, cfg.fallback_tasks
-            ),
-        );
+        report.violation(format!(
+            "{} fallbacks fired for {} apply-bearing OCC tasks",
+            report.fallbacks_fired, cfg.fallback_tasks
+        ));
     }
     report.device_faults += sub.faulty.injector().failures_injected();
     report.retries += sub.reg.counter_value("core.task.retries");
-    if !sub.cert.is_acyclic() {
-        violation(
-            report,
-            format!(
-                "certifier found a conflict cycle under faults: {}",
-                sub.cert.first_violation().unwrap_or_default()
-            ),
-        );
+    if !cert.is_acyclic() {
+        report.violation(format!(
+            "certifier found a conflict cycle under faults: {}",
+            cert.first_violation().unwrap_or_default()
+        ));
     }
     sub.rt.detach_certifier();
 }

@@ -24,7 +24,7 @@
 //! barriers rather than timers, so the [`ReplChaosReport`] — counters
 //! only, no wall-clock values — depends only on the config.
 
-use crate::report::ReplChaosReport;
+use crate::report::{ReplChaosReport, Violations};
 use occam_netdb::{check_identical, AttrValue, Database, ReplicaConfig, ReplicaSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -62,12 +62,6 @@ impl Default for ReplChaosConfig {
 /// them into its headline `invariant_violations`.
 pub fn run_repl_phase(cfg: &ReplChaosConfig) -> ReplChaosReport {
     let mut report = ReplChaosReport::default();
-    let violation = |report: &mut ReplChaosReport, why: String| {
-        report.violations += 1;
-        if report.first_violation.is_none() {
-            report.first_violation = Some(why);
-        }
-    };
 
     let leader_db = Arc::new(Database::new());
     for i in 0..cfg.devices {
@@ -98,10 +92,10 @@ pub fn run_repl_phase(cfg: &ReplChaosConfig) -> ReplChaosReport {
     }
     let target = leader_db.commits();
     if set.leader().wait_acked(target, BARRIER) < target {
-        violation(&mut report, "steady state: quorum ack timed out".into());
+        report.violation("steady state: quorum ack timed out".into());
     }
     if !set.wait_converged(BARRIER) {
-        violation(&mut report, "steady state: convergence timed out".into());
+        report.violation("steady state: convergence timed out".into());
     }
 
     // 2. Partition follower 0 mid-catch-up, write through the partition,
@@ -115,17 +109,14 @@ pub fn run_repl_phase(cfg: &ReplChaosConfig) -> ReplChaosReport {
         report.writes += 1;
     }
     if !set.wait_converged(BARRIER) {
-        violation(
-            &mut report,
-            "partition: healthy followers stopped converging".into(),
-        );
+        report.violation("partition: healthy followers stopped converging".into());
     }
     set.set_partitioned(0, false);
     if !set.wait_converged(BARRIER) {
-        violation(&mut report, "partition: heal catch-up timed out".into());
+        report.violation("partition: heal catch-up timed out".into());
     }
     if let Err(e) = check_identical(&set.followers()[0].db().read_view(), &leader_db.read_view()) {
-        violation(&mut report, format!("partition: after heal, {e}"));
+        report.violation(format!("partition: after heal, {e}"));
     }
 
     // 3. Crash follower 1 with total state loss; the next shipping round
@@ -134,12 +125,12 @@ pub fn run_repl_phase(cfg: &ReplChaosConfig) -> ReplChaosReport {
         set.followers()[1].crash_reset();
         report.rejoins += 1;
         if !set.wait_converged(BARRIER) {
-            violation(&mut report, "rejoin: bootstrap catch-up timed out".into());
+            report.violation("rejoin: bootstrap catch-up timed out".into());
         }
         if let Err(e) =
             check_identical(&set.followers()[1].db().read_view(), &leader_db.read_view())
         {
-            violation(&mut report, format!("rejoin: after bootstrap, {e}"));
+            report.violation(format!("rejoin: after bootstrap, {e}"));
         }
     }
 
@@ -149,7 +140,7 @@ pub fn run_repl_phase(cfg: &ReplChaosConfig) -> ReplChaosReport {
     // barrier-synchronized, not racing the shipper.
     let pre_kill = leader_db.commits();
     if set.leader().wait_acked(pre_kill, BARRIER) < pre_kill {
-        violation(&mut report, "pre-kill: quorum ack timed out".into());
+        report.violation("pre-kill: quorum ack timed out".into());
     }
     for i in 0..cfg.followers {
         set.set_partitioned(i, true);
@@ -173,21 +164,15 @@ pub fn run_repl_phase(cfg: &ReplChaosConfig) -> ReplChaosReport {
         .saturating_sub(promotion.promoted_commits);
     if report.lost_acked > 0 {
         let lost = report.lost_acked;
-        violation(
-            &mut report,
-            format!("failover lost {lost} acknowledged commits"),
-        );
+        report.violation(format!("failover lost {lost} acknowledged commits"));
     }
     let new_leader = set.leader_db();
     if !set.wait_converged(BARRIER) {
-        violation(&mut report, "failover: survivor catch-up timed out".into());
+        report.violation("failover: survivor catch-up timed out".into());
     }
     for f in set.followers() {
         if let Err(e) = check_identical(&f.db().read_view(), &new_leader.read_view()) {
-            violation(
-                &mut report,
-                format!("failover: follower {} not identical: {e}", f.id()),
-            );
+            report.violation(format!("failover: follower {} not identical: {e}", f.id()));
         }
     }
     // The promoted leader keeps accepting and replicating writes.
@@ -197,10 +182,10 @@ pub fn run_repl_phase(cfg: &ReplChaosConfig) -> ReplChaosReport {
     report.writes += 1;
     let target = new_leader.commits();
     if set.leader().wait_acked(target, BARRIER) < target {
-        violation(&mut report, "post-failover: quorum ack timed out".into());
+        report.violation("post-failover: quorum ack timed out".into());
     }
     if !set.wait_converged(BARRIER) {
-        violation(&mut report, "post-failover: convergence timed out".into());
+        report.violation("post-failover: convergence timed out".into());
     }
     set.shutdown();
     report

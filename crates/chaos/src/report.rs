@@ -5,6 +5,8 @@
 //! so byte-identical JSON across runs is the campaign determinism
 //! contract the tests and the bench harness assert.
 
+use occam_obs::json::{self, ToJson, Writer};
+
 /// Outcome of the gateway connection-chaos phase.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct GatewayChaosReport {
@@ -23,21 +25,6 @@ pub struct GatewayChaosReport {
     pub batch_vanish_drops: u64,
     /// Job records left non-terminal after drain — must be 0.
     pub leaked_records: u64,
-}
-
-impl GatewayChaosReport {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"submissions\":{},\"accepted\":{},\"completed\":{},\"partial_drops\":{},\"vanish_drops\":{},\"batch_vanish_drops\":{},\"leaked_records\":{}}}",
-            self.submissions,
-            self.accepted,
-            self.completed,
-            self.partial_drops,
-            self.vanish_drops,
-            self.batch_vanish_drops,
-            self.leaked_records
-        )
-    }
 }
 
 /// Outcome of the replication chaos phase (DESIGN.md §14): leader kill
@@ -64,23 +51,6 @@ pub struct ReplChaosReport {
     pub violations: u64,
     /// First violation description, when any occurred.
     pub first_violation: Option<String>,
-}
-
-impl ReplChaosReport {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"writes\":{},\"acked_before_kill\":{},\"unacked_at_kill\":{},\"partitions\":{},\"rejoins\":{},\"promoted\":{},\"lost_acked\":{},\"violations\":{},\"first_violation\":{}}}",
-            self.writes,
-            self.acked_before_kill,
-            self.unacked_at_kill,
-            self.partitions,
-            self.rejoins,
-            self.promoted,
-            self.lost_acked,
-            self.violations,
-            violation_json(&self.first_violation)
-        )
-    }
 }
 
 /// Outcome of the consistent-update chaos phase (DESIGN.md §15):
@@ -113,25 +83,6 @@ pub struct UpdateChaosReport {
     pub first_violation: Option<String>,
 }
 
-impl UpdateChaosReport {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"plans\":{},\"waves_planned\":{},\"publications_checked\":{},\"cancelled_runs\":{},\"resumed_waves\":{},\"device_faults\":{},\"retries\":{},\"concurrent_runs\":{},\"torn_configs\":{},\"violations\":{},\"first_violation\":{}}}",
-            self.plans,
-            self.waves_planned,
-            self.publications_checked,
-            self.cancelled_runs,
-            self.resumed_waves,
-            self.device_faults,
-            self.retries,
-            self.concurrent_runs,
-            self.torn_configs,
-            self.violations,
-            violation_json(&self.first_violation)
-        )
-    }
-}
-
 /// Outcome of the optimistic-concurrency chaos phase (DESIGN.md §16):
 /// mixed OCC/2PL writers contending on one row with the serializability
 /// certifier attached, plus OCC tasks forced to fall back to 2PL under
@@ -160,24 +111,6 @@ pub struct OccChaosReport {
     pub first_violation: Option<String>,
 }
 
-impl OccChaosReport {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"increment_tasks\":{},\"lost_updates\":{},\"certified_commits\":{},\"fallback_tasks\":{},\"fallbacks_fired\":{},\"exhausted_retries\":{},\"device_faults\":{},\"retries\":{},\"violations\":{},\"first_violation\":{}}}",
-            self.increment_tasks,
-            self.lost_updates,
-            self.certified_commits,
-            self.fallback_tasks,
-            self.fallbacks_fired,
-            self.exhausted_retries,
-            self.device_faults,
-            self.retries,
-            self.violations,
-            violation_json(&self.first_violation)
-        )
-    }
-}
-
 /// Outcome of the declarative-spec chaos phase (DESIGN.md §17): specs
 /// submitted mid-campaign and killed mid-execution, with the incremental
 /// compliance view asserted to converge — every task ends all-compliant
@@ -204,23 +137,6 @@ pub struct SpecChaosReport {
     pub violations: u64,
     /// First violation description, when any occurred.
     pub first_violation: Option<String>,
-}
-
-impl SpecChaosReport {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"specs_run\":{},\"completed\":{},\"rolled_back\":{},\"kills\":{},\"converged\":{},\"audits\":{},\"incremental_mismatches\":{},\"violations\":{},\"first_violation\":{}}}",
-            self.specs_run,
-            self.completed,
-            self.rolled_back,
-            self.kills,
-            self.converged,
-            self.audits,
-            self.incremental_mismatches,
-            self.violations,
-            violation_json(&self.first_violation)
-        )
-    }
 }
 
 /// Outcome of one seeded campaign. All fields are counters; see the
@@ -267,62 +183,93 @@ pub struct CampaignReport {
     pub spec: Option<SpecChaosReport>,
 }
 
-/// A `first_violation` field as a JSON value: the escaped string, or
-/// `null`.
-fn violation_json(first_violation: &Option<String>) -> String {
-    match first_violation {
-        Some(v) => format!("\"{}\"", occam_obs::json_escape(v)),
-        None => "null".to_string(),
-    }
-}
-
 impl CampaignReport {
     /// Renders the report as one deterministic JSON object (fixed key
     /// order, no whitespace).
     pub fn to_json(&self) -> String {
-        let gateway = match &self.gateway {
-            Some(g) => g.to_json(),
-            None => "null".to_string(),
-        };
-        let repl = match &self.repl {
-            Some(r) => r.to_json(),
-            None => "null".to_string(),
-        };
-        let update = match &self.update {
-            Some(u) => u.to_json(),
-            None => "null".to_string(),
-        };
-        let occ = match &self.occ {
-            Some(o) => o.to_json(),
-            None => "null".to_string(),
-        };
-        let spec = match &self.spec {
-            Some(s) => s.to_json(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"seed\":{},\"fault_rate\":{},\"tasks\":{},\"completed\":{},\"rolled_back\":{},\"retries\":{},\"retry_rollback_failed\":{},\"db_faults\":{},\"device_faults\":{},\"latency_spikes\":{},\"stuck_hits\":{},\"crashes\":{},\"invariant_violations\":{},\"first_violation\":{},\"gateway\":{},\"repl\":{},\"update\":{},\"occ\":{},\"spec\":{}}}",
-            self.seed,
-            self.fault_rate,
-            self.tasks,
-            self.completed,
-            self.rolled_back,
-            self.retries,
-            self.retry_rollback_failed,
-            self.db_faults,
-            self.device_faults,
-            self.latency_spikes,
-            self.stuck_hits,
-            self.crashes,
-            self.invariant_violations,
-            violation_json(&self.first_violation),
-            gateway,
-            repl,
-            update,
-            occ,
-            spec
-        )
+        json::to_string(self)
     }
+}
+
+/// `ToJson` for a report whose JSON keys are its field names, in the
+/// order listed.
+macro_rules! to_json {
+    ($($report:ty { $($field:ident),* })*) => {$(
+        impl ToJson for $report {
+            fn write_json(&self, w: &mut Writer) {
+                w.object(|w| {
+                    $(w.field(stringify!($field), &self.$field);)*
+                });
+            }
+        }
+    )*};
+}
+to_json! {
+    GatewayChaosReport {
+        submissions, accepted, completed, partial_drops, vanish_drops, batch_vanish_drops,
+        leaked_records
+    }
+    ReplChaosReport {
+        writes, acked_before_kill, unacked_at_kill, partitions, rejoins, promoted, lost_acked,
+        violations, first_violation
+    }
+    UpdateChaosReport {
+        plans, waves_planned, publications_checked, cancelled_runs, resumed_waves,
+        device_faults, retries, concurrent_runs, torn_configs, violations, first_violation
+    }
+    OccChaosReport {
+        increment_tasks, lost_updates, certified_commits, fallback_tasks, fallbacks_fired,
+        exhausted_retries, device_faults, retries, violations, first_violation
+    }
+    SpecChaosReport {
+        specs_run, completed, rolled_back, kills, converged, audits, incremental_mismatches,
+        violations, first_violation
+    }
+    CampaignReport {
+        seed, fault_rate, tasks, completed, rolled_back, retries, retry_rollback_failed,
+        db_faults, device_faults, latency_spikes, stuck_hits, crashes, invariant_violations,
+        first_violation, gateway, repl, update, occ, spec
+    }
+}
+
+/// The violation ledger every report carries: a count and the first
+/// description. Phases record into their own report; the campaign folds
+/// each phase's ledger into its headline `invariant_violations`.
+pub(crate) trait Violations {
+    /// The report's `(count, first description)` slots.
+    fn ledger(&mut self) -> (&mut u64, &mut Option<String>);
+
+    /// Counts `n` violations described by `first`; the first description
+    /// ever recorded wins.
+    fn add_violations(&mut self, n: u64, first: Option<String>) {
+        let (count, slot) = self.ledger();
+        *count += n;
+        if n > 0 && slot.is_none() {
+            *slot = first;
+        }
+    }
+
+    /// Counts one violation described by `why`.
+    fn violation(&mut self, why: String) {
+        self.add_violations(1, Some(why));
+    }
+}
+
+macro_rules! violations {
+    ($($report:ty => $count:ident;)*) => {$(
+        impl Violations for $report {
+            fn ledger(&mut self) -> (&mut u64, &mut Option<String>) {
+                (&mut self.$count, &mut self.first_violation)
+            }
+        }
+    )*};
+}
+violations! {
+    CampaignReport => invariant_violations;
+    ReplChaosReport => violations;
+    UpdateChaosReport => violations;
+    OccChaosReport => violations;
+    SpecChaosReport => violations;
 }
 
 #[cfg(test)]
@@ -351,5 +298,114 @@ mod tests {
         assert!(r.to_json().contains("\"repl\":{\"writes\":3,"));
         r.first_violation = Some("say \"what\"\n".into());
         assert!(r.to_json().contains("say \\\"what\\\"\\n"));
+    }
+
+    /// The expected string is the parent commit's hand-rolled emitter run
+    /// on this same report: the writer must reproduce it byte for byte.
+    #[test]
+    fn json_matches_the_golden_for_a_fully_populated_report() {
+        let r = CampaignReport {
+            seed: 42,
+            fault_rate: 0.05,
+            tasks: 10,
+            completed: 7,
+            rolled_back: 3,
+            retries: 4,
+            retry_rollback_failed: 1,
+            db_faults: 5,
+            device_faults: 6,
+            latency_spikes: 2,
+            stuck_hits: 8,
+            crashes: 9,
+            invariant_violations: 11,
+            first_violation: Some("say \"what\"\n\\ \u{1}".into()),
+            gateway: Some(GatewayChaosReport {
+                submissions: 12,
+                accepted: 13,
+                completed: 14,
+                partial_drops: 15,
+                vanish_drops: 16,
+                batch_vanish_drops: 17,
+                leaked_records: 18,
+            }),
+            repl: Some(ReplChaosReport {
+                writes: 19,
+                acked_before_kill: 20,
+                unacked_at_kill: 21,
+                partitions: 22,
+                rejoins: 23,
+                promoted: 24,
+                lost_acked: 25,
+                violations: 26,
+                first_violation: Some("repl\tbad".into()),
+            }),
+            update: Some(UpdateChaosReport {
+                plans: 27,
+                waves_planned: 28,
+                publications_checked: 29,
+                cancelled_runs: 30,
+                resumed_waves: 31,
+                device_faults: 32,
+                retries: 33,
+                concurrent_runs: 34,
+                torn_configs: 35,
+                violations: 36,
+                first_violation: None,
+            }),
+            occ: Some(OccChaosReport {
+                increment_tasks: 37,
+                lost_updates: 38,
+                certified_commits: 39,
+                fallback_tasks: 40,
+                fallbacks_fired: 41,
+                exhausted_retries: 42,
+                device_faults: 43,
+                retries: 44,
+                violations: 45,
+                first_violation: Some("occ".into()),
+            }),
+            spec: Some(SpecChaosReport {
+                specs_run: 46,
+                completed: 47,
+                rolled_back: 48,
+                kills: 49,
+                converged: 50,
+                audits: 51,
+                incremental_mismatches: 52,
+                violations: 53,
+                first_violation: None,
+            }),
+        };
+        assert_eq!(
+            r.to_json(),
+            concat!(
+                r#"{"seed":42,"fault_rate":0.05,"tasks":10,"completed":7,"rolled_back":3,"retries":4,"retry_rollback_failed":1,"db_faults":5,"device_faults":6,"latency_spikes":2,"stuck_hits":8,"crashes":9,"invariant_violations":11,"first_violation":"say \"what\"\n\\ \u0001""#,
+                r#","gateway":{"submissions":12,"accepted":13,"completed":14,"partial_drops":15,"vanish_drops":16,"batch_vanish_drops":17,"leaked_records":18}"#,
+                r#","repl":{"writes":19,"acked_before_kill":20,"unacked_at_kill":21,"partitions":22,"rejoins":23,"promoted":24,"lost_acked":25,"violations":26,"first_violation":"repl\tbad"}"#,
+                r#","update":{"plans":27,"waves_planned":28,"publications_checked":29,"cancelled_runs":30,"resumed_waves":31,"device_faults":32,"retries":33,"concurrent_runs":34,"torn_configs":35,"violations":36,"first_violation":null}"#,
+                r#","occ":{"increment_tasks":37,"lost_updates":38,"certified_commits":39,"fallback_tasks":40,"fallbacks_fired":41,"exhausted_retries":42,"device_faults":43,"retries":44,"violations":45,"first_violation":"occ"}"#,
+                r#","spec":{"specs_run":46,"completed":47,"rolled_back":48,"kills":49,"converged":50,"audits":51,"incremental_mismatches":52,"violations":53,"first_violation":null}}"#,
+            )
+        );
+    }
+
+    #[test]
+    fn ledger_counts_everything_and_keeps_the_first_description() {
+        let mut r = CampaignReport::default();
+        r.add_violations(0, Some("not a violation".into()));
+        assert_eq!(
+            (r.invariant_violations, r.first_violation.clone()),
+            (0, None)
+        );
+        r.violation("first".into());
+        r.add_violations(3, Some("later".into()));
+        assert_eq!(r.invariant_violations, 4);
+        assert_eq!(r.first_violation.as_deref(), Some("first"));
+        let mut phase = OccChaosReport::default();
+        phase.violation("lost update".into());
+        assert_eq!(
+            (phase.violations, phase.first_violation.as_deref()),
+            (1, Some("lost update"))
+        );
     }
 }

@@ -30,17 +30,13 @@
 //! Determinism: single-threaded, seeded fault streams, fixed spec
 //! order — identical configs yield identical [`SpecChaosReport`]s.
 
-use crate::report::SpecChaosReport;
+use crate::report::{SpecChaosReport, Violations};
 use crate::snapshot::StateSnapshot;
-use occam_core::{execute_rollback, RetryPolicy, Runtime, TaskReport, TaskState};
-use occam_emunet::{EmuNet, EmuService, FaultyService};
-use occam_netdb::{attrs, compliance_cold, Assertion, Database, FaultPlan};
-use occam_obs::Registry;
+use crate::substrate::Substrate;
+use occam_core::{execute_rollback, RetryPolicy, TaskReport, TaskState};
+use occam_netdb::{attrs, compliance_cold, Assertion, FaultPlan};
 use occam_regex::Pattern;
-use occam_sched::Policy;
 use occam_spec::compile_source;
-use occam_topology::{FatTree, Role};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Device-fault salt, distinct from the other phases' streams.
@@ -71,85 +67,25 @@ impl Default for SpecChaosConfig {
     }
 }
 
-/// One fresh substrate: a `FatTree(1, 4)` fabric mirrored into a seeded
-/// database and a runtime over a faultable device service.
-struct Substrate {
-    db: Arc<Database>,
-    inner: Arc<EmuService>,
-    faulty: Arc<FaultyService>,
-    rt: Runtime,
+/// A fresh [`Substrate`] with device and database faults at `fault_rate`.
+fn substrate(seed: u64, fault_rate: f64) -> Substrate {
+    Substrate::build(
+        FaultPlan::random(fault_rate, seed ^ SPEC_SALT),
+        FaultPlan::random(fault_rate, seed ^ SPEC_SALT.rotate_left(17)),
+    )
 }
 
-impl Substrate {
-    fn build(seed: u64, fault_rate: f64) -> Substrate {
-        let reg = Registry::new();
-        let ft = FatTree::build(1, 4).expect("k=4 fat tree");
-        let db = Arc::new(Database::with_obs(&reg));
-        for (_, d) in ft.topo.devices() {
-            if d.role == Role::Host {
-                continue;
-            }
-            db.insert_device(
-                &d.name,
-                vec![
-                    (attrs::DEVICE_STATUS.into(), attrs::STATUS_ACTIVE.into()),
-                    (attrs::FIRMWARE_VERSION.into(), "fw-1.0.0".into()),
-                ],
-            )
-            .expect("seed device");
-        }
-        let inner = Arc::new(EmuService::new(EmuNet::from_fattree(&ft)));
-        let faulty = Arc::new(FaultyService::new(
-            inner.clone(),
-            FaultPlan::builder()
-                .rate(fault_rate)
-                .seed(seed ^ SPEC_SALT)
-                .build(),
-        ));
-        db.set_fault_plan(
-            FaultPlan::builder()
-                .rate(fault_rate)
-                .seed(seed ^ SPEC_SALT.rotate_left(17))
-                .build(),
-        );
-        let rt = Runtime::with_obs(
-            db.clone(),
-            faulty.clone() as Arc<dyn occam_emunet::DeviceService>,
-            Policy::Ldsf,
-            &reg,
-        );
-        Substrate {
-            db,
-            inner,
-            faulty,
-            rt,
-        }
+/// Compiles one spec source and runs it under the substrate's runtime.
+fn run_spec(sub: &Substrate, src: &str, name: &str, retry: Option<RetryPolicy>) -> TaskReport {
+    let program = match compile_source(src) {
+        Ok(compiled) => compiled.program(),
+        Err(e) => panic!("chaos spec failed to compile: {e}"),
+    };
+    let mut builder = sub.rt.task(name);
+    if let Some(policy) = retry {
+        builder = builder.retry(policy);
     }
-
-    fn faults_enabled(&self, on: bool) {
-        self.db.faults().set_enabled(on);
-        self.faulty.set_enabled(on);
-    }
-
-    /// Compiles one spec source and runs it under the runtime.
-    fn run_spec(&self, src: &str, name: &str, retry: Option<RetryPolicy>) -> TaskReport {
-        let program = match compile_source(src) {
-            Ok(compiled) => compiled.program(),
-            Err(e) => panic!("chaos spec failed to compile: {e}"),
-        };
-        let mut builder = self.rt.task(name);
-        if let Some(policy) = retry {
-            builder = builder.retry(policy);
-        }
-        builder.run(move |ctx| program(ctx))
-    }
-}
-
-fn violation(report: &mut SpecChaosReport, why: String) {
-    report.violations += 1;
-    if report.first_violation.is_none() {
-        report.first_violation = Some(why);
-    }
+    builder.run(move |ctx| program(ctx))
 }
 
 /// Evaluates `assertions` over `scope` through the incremental view
@@ -167,14 +103,11 @@ fn audit(
     let cold = compliance_cold(&snap, scope, assertions);
     if !incremental.same_result(&cold) {
         report.incremental_mismatches += 1;
-        violation(
-            report,
-            format!(
-                "incremental refresh diverged from cold recompute: {} vs {}",
-                incremental.summary(3),
-                cold.summary(3)
-            ),
-        );
+        report.violation(format!(
+            "incremental refresh diverged from cold recompute: {} vs {}",
+            incremental.summary(3),
+            cold.summary(3)
+        ));
     }
     incremental.compliant()
 }
@@ -183,7 +116,7 @@ fn audit(
 /// verify byte-identical rollback, then clear the fault, re-submit, and
 /// verify the compliance view converges to all-compliant.
 fn hard_kill(cfg: &SpecChaosConfig, report: &mut SpecChaosReport) {
-    let sub = Substrate::build(cfg.seed, 0.0);
+    let sub = substrate(cfg.seed, 0.0);
     let scope = Pattern::from_glob("dc01.pod00.*").expect("glob");
     let src = "spec fw_rollout {\n\
                \x20 scope dc01.pod00.*\n\
@@ -207,33 +140,30 @@ fn hard_kill(cfg: &SpecChaosConfig, report: &mut SpecChaosReport) {
     let pre = StateSnapshot::capture(&sub.db, &sub.inner);
     report.specs_run += 1;
     report.kills += 1;
-    let task = sub.run_spec(src, "spec.fw_rollout", None);
+    let task = run_spec(&sub, src, "spec.fw_rollout", None);
     sub.faults_enabled(false);
     match task.state {
         TaskState::Aborted => {
             if task.rollback.is_some() {
                 if let Err(e) = execute_rollback(&task, &sub.db, sub.rt.service().as_ref()) {
-                    violation(report, format!("kill rollback failed fault-free: {e}"));
+                    report.violation(format!("kill rollback failed fault-free: {e}"));
                 }
             }
             let post = StateSnapshot::capture(&sub.db, &sub.inner);
             match pre.first_diff(&post) {
                 None => report.rolled_back += 1,
-                Some(diff) => violation(report, format!("residue after spec kill: {diff}")),
+                Some(diff) => report.violation(format!("residue after spec kill: {diff}")),
             }
             // Convergence, half one: rolled back means compliant with
             // the *old* state, and not with the target.
             if !audit(&sub, &scope, &old_state, report) {
-                violation(
-                    report,
-                    "rolled-back scope not compliant with old state".into(),
-                );
+                report.violation("rolled-back scope not compliant with old state".into());
             }
             if audit(&sub, &scope, &target, report) {
-                violation(report, "killed spec reports target compliance".into());
+                report.violation("killed spec reports target compliance".into());
             }
         }
-        other => violation(report, format!("killed spec ended {other:?}, not Aborted")),
+        other => report.violation(format!("killed spec ended {other:?}, not Aborted")),
     }
 
     // Convergence, half two: the clean re-submission must complete and
@@ -241,16 +171,16 @@ fn hard_kill(cfg: &SpecChaosConfig, report: &mut SpecChaosReport) {
     sub.faulty.set_plan(FaultPlan::none());
     sub.faults_enabled(true);
     report.specs_run += 1;
-    let task = sub.run_spec(src, "spec.fw_rollout", None);
+    let task = run_spec(&sub, src, "spec.fw_rollout", None);
     if task.state != TaskState::Completed {
-        violation(report, format!("resubmitted spec failed: {:?}", task.error));
+        report.violation(format!("resubmitted spec failed: {:?}", task.error));
         return;
     }
     report.completed += 1;
     if audit(&sub, &scope, &target, report) {
         report.converged += 1;
     } else {
-        violation(report, "resubmitted spec left non-compliant devices".into());
+        report.violation("resubmitted spec left non-compliant devices".into());
     }
 }
 
@@ -258,7 +188,7 @@ fn hard_kill(cfg: &SpecChaosConfig, report: &mut SpecChaosReport) {
 /// verified fully-applied (via the compliance view) or fully-rolled-back
 /// (via snapshot identity).
 fn faulted_stream(cfg: &SpecChaosConfig, report: &mut SpecChaosReport) {
-    let sub = Substrate::build(cfg.seed, cfg.fault_rate);
+    let sub = substrate(cfg.seed, cfg.fault_rate);
     sub.faults_enabled(false);
     let universe = Pattern::from_glob("dc01.*").expect("glob");
     for t in 0..12u32 {
@@ -303,7 +233,7 @@ fn faulted_stream(cfg: &SpecChaosConfig, report: &mut SpecChaosReport) {
             .with_backoff(Duration::from_micros(50), Duration::from_micros(200))
             .with_seed(cfg.seed.wrapping_add(u64::from(t)));
         sub.faults_enabled(true);
-        let task = sub.run_spec(&src, name, Some(retry));
+        let task = run_spec(&sub, &src, name, Some(retry));
         // Verification and recovery run fault-free; pausing does not
         // advance the seeded streams.
         sub.faults_enabled(false);
@@ -312,24 +242,24 @@ fn faulted_stream(cfg: &SpecChaosConfig, report: &mut SpecChaosReport) {
             TaskState::Completed => {
                 report.completed += 1;
                 if !audit(&sub, &scope_pat, &expects, report) {
-                    violation(report, format!("{name}: completed but scope not compliant"));
+                    report.violation(format!("{name}: completed but scope not compliant"));
                 }
             }
             TaskState::Aborted => {
                 if task.rollback.is_some() {
                     if let Err(e) = execute_rollback(&task, &sub.db, sub.rt.service().as_ref()) {
-                        violation(report, format!("{name}: rollback failed fault-free: {e}"));
+                        report.violation(format!("{name}: rollback failed fault-free: {e}"));
                     }
                 }
                 let post = StateSnapshot::capture(&sub.db, &sub.inner);
                 match pre.first_diff(&post) {
                     None => report.rolled_back += 1,
                     Some(diff) => {
-                        violation(report, format!("{name}: residue after rollback: {diff}"))
+                        report.violation(format!("{name}: residue after rollback: {diff}"))
                     }
                 }
             }
-            other => violation(report, format!("{name}: non-terminal state {other:?}")),
+            other => report.violation(format!("{name}: non-terminal state {other:?}")),
         }
         // A standing campaign-wide audit view rides across every commit:
         // its incremental refresh must track the churn exactly.

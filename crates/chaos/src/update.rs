@@ -27,21 +27,19 @@
 //! (publication totals are fixed by the two plans' shapes at fault rate
 //! zero), so the [`UpdateChaosReport`] depends only on the config.
 
-use crate::report::UpdateChaosReport;
+use crate::report::{UpdateChaosReport, Violations};
 use crate::snapshot::StateSnapshot;
-use occam_core::{CancelToken, RetryPolicy, Runtime};
-use occam_emunet::{EmuNet, EmuService, FaultyService};
-use occam_netdb::{attrs, AttrValue, Database, FaultPlan, StoreSnapshot, WalRecord};
-use occam_obs::Registry;
+use crate::substrate::Substrate;
+use occam_core::{CancelToken, RetryPolicy};
+use occam_netdb::{attrs, Database, FaultPlan, StoreSnapshot, WalRecord};
 use occam_regex::Pattern;
-use occam_sched::Policy;
-use occam_topology::{DeviceId, FatTree, Role, Topology};
+use occam_topology::{DeviceId, Topology};
 use occam_update::{
     diff, execute_plan, Checker, ExecOptions, ModelState, Plan, Synthesizer, TrafficClass,
     UpdateOp, WavePoint,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Device-fault salt, distinct from the main campaign's streams.
@@ -65,122 +63,73 @@ impl Default for UpdateChaosConfig {
     }
 }
 
-/// One fresh substrate: a `FatTree(1, 4)` fabric mirrored into a seeded
-/// database, cross-pod traffic classes, and a runtime over a faultable
-/// device service.
-struct Substrate {
-    reg: Registry,
-    db: Arc<Database>,
-    inner: Arc<EmuService>,
-    faulty: Arc<FaultyService>,
-    rt: Runtime,
-    ft: FatTree,
-    classes: Vec<TrafficClass>,
+/// A fresh [`Substrate`] with device faults at `fault_rate`, plus one
+/// cross-pod traffic class per adjacent pod pair: every pod's uplinks
+/// matter, so a plan that drains a whole pod's aggs (or all cores) at
+/// once is caught.
+fn substrate(seed: u64, fault_rate: f64) -> (Substrate, Vec<TrafficClass>) {
+    let sub = Substrate::build(
+        FaultPlan::random(fault_rate, seed ^ UPDATE_SALT),
+        FaultPlan::none(),
+    );
+    let classes = (0..4usize)
+        .map(|p| {
+            let q = (p + 1) % 4;
+            TrafficClass::pair(
+                format!("pod{p}-pod{q}"),
+                sub.ft.hosts[p][0][0],
+                sub.ft.hosts[q][1][0],
+                p as u64,
+            )
+        })
+        .collect();
+    (sub, classes)
 }
 
-impl Substrate {
-    fn build(seed: u64, fault_rate: f64) -> Substrate {
-        let reg = Registry::new();
-        let ft = FatTree::build(1, 4).expect("k=4 fat tree");
-        let db = Arc::new(Database::with_obs(&reg));
-        for (_, d) in ft.topo.devices() {
-            if d.role == Role::Host {
-                continue;
+/// Diffs the live config against "scoped devices get `attr = value`
+/// (plus firmware, when given)" — the same frontend the gateway's
+/// `planned_update` workflow runs. `CONFIG_VERSION` and firmware are
+/// pushed attributes, so ops carrying them barrier their wave; any
+/// other attribute yields database-only ops.
+fn ops_for(
+    db: &Database,
+    scope: &Pattern,
+    attr: &str,
+    value: &str,
+    firmware: Option<&str>,
+) -> Vec<UpdateOp> {
+    let old = db.read_view().into_snapshot();
+    let mut records: Vec<WalRecord> = old
+        .select_devices(&Pattern::universe())
+        .into_iter()
+        .map(|name| {
+            let device_attrs = old.device_attrs(&name).unwrap_or_default();
+            WalRecord::InsertDevice {
+                name,
+                attrs: device_attrs.into_iter().collect(),
             }
-            db.insert_device(
-                &d.name,
-                vec![
-                    (attrs::DEVICE_STATUS.into(), attrs::STATUS_ACTIVE.into()),
-                    (attrs::FIRMWARE_VERSION.into(), AttrValue::from("fw-1.0.0")),
-                ],
-            )
-            .expect("seed device");
-        }
-        let inner = Arc::new(EmuService::new(EmuNet::from_fattree(&ft)));
-        let faulty = Arc::new(FaultyService::new(
-            inner.clone(),
-            FaultPlan::builder()
-                .rate(fault_rate)
-                .seed(seed ^ UPDATE_SALT)
-                .build(),
-        ));
-        let rt = Runtime::with_obs(
-            db.clone(),
-            faulty.clone() as Arc<dyn occam_emunet::DeviceService>,
-            Policy::Ldsf,
-            &reg,
-        );
-        // One cross-pod class per adjacent pod pair: every pod's uplinks
-        // matter, so a plan that drains a whole pod's aggs (or all cores)
-        // at once is caught.
-        let classes: Vec<TrafficClass> = (0..4u64)
-            .map(|p| {
-                let q = ((p + 1) % 4) as usize;
-                let p = p as usize;
-                TrafficClass::pair(
-                    format!("pod{p}-pod{q}"),
-                    ft.hosts[p][0][0],
-                    ft.hosts[q][1][0],
-                    p as u64,
-                )
-            })
-            .collect();
-        Substrate {
-            reg,
-            db,
-            inner,
-            faulty,
-            rt,
-            ft,
-            classes,
-        }
-    }
-
-    /// Diffs the live config against "scoped devices get `attr = value`
-    /// (plus firmware, when given)" — the same frontend the gateway's
-    /// `planned_update` workflow runs. `CONFIG_VERSION` and firmware are
-    /// pushed attributes, so ops carrying them barrier their wave; any
-    /// other attribute yields database-only ops.
-    fn ops_for(
-        &self,
-        scope: &Pattern,
-        attr: &str,
-        value: &str,
-        firmware: Option<&str>,
-    ) -> Vec<UpdateOp> {
-        let old = self.db.read_view().into_snapshot();
-        let mut records: Vec<WalRecord> = old
-            .select_devices(&Pattern::universe())
-            .into_iter()
-            .map(|name| {
-                let device_attrs = old.device_attrs(&name).unwrap_or_default();
-                WalRecord::InsertDevice {
-                    name,
-                    attrs: device_attrs.into_iter().collect(),
-                }
-            })
-            .collect();
-        for name in old.select_devices(scope) {
+        })
+        .collect();
+    for name in old.select_devices(scope) {
+        records.push(WalRecord::SetDeviceAttr {
+            name: name.clone(),
+            attr: attr.into(),
+            value: value.into(),
+        });
+        if let Some(fw) = firmware {
             records.push(WalRecord::SetDeviceAttr {
                 name: name.clone(),
-                attr: attr.into(),
-                value: value.into(),
+                attr: attrs::FIRMWARE_VERSION.into(),
+                value: fw.into(),
             });
-            if let Some(fw) = firmware {
-                records.push(WalRecord::SetDeviceAttr {
-                    name: name.clone(),
-                    attr: attrs::FIRMWARE_VERSION.into(),
-                    value: fw.into(),
-                });
-                records.push(WalRecord::SetDeviceAttr {
-                    name,
-                    attr: attrs::FIRMWARE_BINARY.into(),
-                    value: format!("img-{fw}").as_str().into(),
-                });
-            }
+            records.push(WalRecord::SetDeviceAttr {
+                name,
+                attr: attrs::FIRMWARE_BINARY.into(),
+                value: format!("img-{fw}").as_str().into(),
+            });
         }
-        diff(&old, &StoreSnapshot::replay(&records))
     }
+    diff(&old, &StoreSnapshot::replay(&records))
 }
 
 /// Reconstructs the forwarding model from the live database: a device is
@@ -215,12 +164,16 @@ struct PublicationAuditor<'a> {
 }
 
 impl<'a> PublicationAuditor<'a> {
-    fn new(sub: &'a Substrate, plan: &'a Plan) -> PublicationAuditor<'a> {
+    fn new(
+        sub: &'a Substrate,
+        classes: &'a [TrafficClass],
+        plan: &'a Plan,
+    ) -> PublicationAuditor<'a> {
         PublicationAuditor {
             db: &sub.db,
             topo: &sub.ft.topo,
             plan,
-            checker: Checker::new(&sub.ft.topo, &sub.classes),
+            checker: Checker::new(&sub.ft.topo, classes),
             publications: AtomicU64::new(0),
             violations: AtomicU64::new(0),
             first: Mutex::new(None),
@@ -256,13 +209,6 @@ impl<'a> PublicationAuditor<'a> {
     }
 }
 
-fn violation(report: &mut UpdateChaosReport, why: String) {
-    report.violations += 1;
-    if report.first_violation.is_none() {
-        report.first_violation = Some(why);
-    }
-}
-
 /// Every scoped device must carry exactly the target attributes.
 fn assert_applied(
     sub: &Substrate,
@@ -275,15 +221,15 @@ fn assert_applied(
     for name in snap.select_devices(scope) {
         let dev = snap.device_attrs(&name).unwrap_or_default();
         if dev.get("CONFIG_VERSION").and_then(|v| v.as_str()) != Some(generation) {
-            violation(report, format!("{name}: CONFIG_VERSION not {generation}"));
+            report.violation(format!("{name}: CONFIG_VERSION not {generation}"));
         }
         if let Some(fw) = firmware {
             if dev.get(attrs::FIRMWARE_VERSION).and_then(|v| v.as_str()) != Some(fw) {
-                violation(report, format!("{name}: firmware not {fw}"));
+                report.violation(format!("{name}: firmware not {fw}"));
             }
         }
         if dev.get(attrs::DEVICE_STATUS).and_then(|v| v.as_str()) != Some(attrs::STATUS_ACTIVE) {
-            violation(report, format!("{name}: not back to ACTIVE"));
+            report.violation(format!("{name}: not back to ACTIVE"));
         }
     }
 }
@@ -291,17 +237,17 @@ fn assert_applied(
 /// Campaign 1: cancel the plan from inside its first drained publication,
 /// assert byte-identical rollback to the wave boundary, then resume.
 fn kill_mid_wave(cfg: &UpdateChaosConfig, report: &mut UpdateChaosReport) {
-    let sub = Substrate::build(cfg.seed, 0.0);
+    let (sub, classes) = substrate(cfg.seed, 0.0);
     let scope = Pattern::from_glob("dc01.pod0[01].agg*").expect("glob");
-    let ops = sub.ops_for(&scope, "CONFIG_VERSION", "u1", Some("fw-2.0.0"));
-    let synth = Synthesizer::new(&sub.ft.topo, &sub.classes).with_seed(cfg.seed);
+    let ops = ops_for(&sub.db, &scope, "CONFIG_VERSION", "u1", Some("fw-2.0.0"));
+    let synth = Synthesizer::new(&sub.ft.topo, &classes).with_seed(cfg.seed);
     let plan = synth.synthesize(&ops).expect("agg rollout is feasible");
     report.plans += 1;
     report.waves_planned += plan.waves.len() as u64;
 
     let pre = StateSnapshot::capture(&sub.db, &sub.inner);
     let token = CancelToken::new();
-    let auditor = PublicationAuditor::new(&sub, &plan);
+    let auditor = PublicationAuditor::new(&sub, &classes, &plan);
     let kill_token = token.clone();
     let observer = |point: WavePoint| {
         // The state is audited *before* the kill: the drained publication
@@ -319,28 +265,28 @@ fn kill_mid_wave(cfg: &UpdateChaosConfig, report: &mut UpdateChaosReport) {
     auditor.fold_into(report);
     report.cancelled_runs += 1;
     if exec.ok() {
-        violation(report, "cancelled plan reported success".into());
+        report.violation("cancelled plan reported success".into());
     }
     if !exec.rolled_back {
-        violation(report, "killed wave was not rolled back".into());
+        report.violation("killed wave was not rolled back".into());
     }
     let post = StateSnapshot::capture(&sub.db, &sub.inner);
     if let Some(d) = pre.first_diff(&post) {
-        violation(report, format!("residue after mid-wave kill: {d}"));
+        report.violation(format!("residue after mid-wave kill: {d}"));
     }
 
     // Resume: re-plan from the (restored) live config and run it out.
-    let ops = sub.ops_for(&scope, "CONFIG_VERSION", "u1", Some("fw-2.0.0"));
+    let ops = ops_for(&sub.db, &scope, "CONFIG_VERSION", "u1", Some("fw-2.0.0"));
     let plan = synth.synthesize(&ops).expect("resume plan is feasible");
     report.plans += 1;
     report.waves_planned += plan.waves.len() as u64;
-    let auditor = PublicationAuditor::new(&sub, &plan);
+    let auditor = PublicationAuditor::new(&sub, &classes, &plan);
     let observer = |point: WavePoint| auditor.observe(point);
     let exec = execute_plan(&sub.rt, &plan, &ExecOptions::default(), Some(&observer));
     auditor.fold_into(report);
     report.resumed_waves += exec.waves_committed as u64;
     if !exec.ok() {
-        violation(report, format!("resumed plan failed: {:?}", exec.error));
+        report.violation(format!("resumed plan failed: {:?}", exec.error));
     }
     assert_applied(&sub, &scope, "u1", Some("fw-2.0.0"), report);
 }
@@ -348,15 +294,15 @@ fn kill_mid_wave(cfg: &UpdateChaosConfig, report: &mut UpdateChaosReport) {
 /// Campaign 2: seeded transient device faults while the waves execute,
 /// under the same retry policy the main campaign uses.
 fn faults_during_waves(cfg: &UpdateChaosConfig, report: &mut UpdateChaosReport) {
-    let sub = Substrate::build(cfg.seed, cfg.fault_rate);
+    let (sub, classes) = substrate(cfg.seed, cfg.fault_rate);
     let scope = Pattern::from_glob("dc01.pod0[23].agg*").expect("glob");
-    let ops = sub.ops_for(&scope, "CONFIG_VERSION", "u2", Some("fw-2.1.0"));
-    let synth = Synthesizer::new(&sub.ft.topo, &sub.classes).with_seed(cfg.seed);
+    let ops = ops_for(&sub.db, &scope, "CONFIG_VERSION", "u2", Some("fw-2.1.0"));
+    let synth = Synthesizer::new(&sub.ft.topo, &classes).with_seed(cfg.seed);
     let plan = synth.synthesize(&ops).expect("agg rollout is feasible");
     report.plans += 1;
     report.waves_planned += plan.waves.len() as u64;
 
-    let auditor = PublicationAuditor::new(&sub, &plan);
+    let auditor = PublicationAuditor::new(&sub, &classes, &plan);
     let observer = |point: WavePoint| auditor.observe(point);
     let opts = ExecOptions {
         retry: RetryPolicy::attempts(5)
@@ -378,7 +324,7 @@ fn faults_during_waves(cfg: &UpdateChaosConfig, report: &mut UpdateChaosReport) 
         // on the boundary — every device fully old or fully new, active.
         sub.faulty.set_enabled(false);
         if !exec.rolled_back {
-            violation(report, "faulted wave left without rollback".into());
+            report.violation("faulted wave left without rollback".into());
         }
         let snap = sub.db.read_view();
         for name in snap.select_devices(&scope) {
@@ -388,7 +334,7 @@ fn faults_during_waves(cfg: &UpdateChaosConfig, report: &mut UpdateChaosReport) 
             let old = fw == Some("fw-1.0.0") && gen.is_none();
             let new = fw == Some("fw-2.1.0") && gen == Some("u2");
             if !(old || new) {
-                violation(report, format!("{name}: torn config at wave boundary"));
+                report.violation(format!("{name}: torn config at wave boundary"));
             }
         }
     }
@@ -401,7 +347,7 @@ fn faults_during_waves(cfg: &UpdateChaosConfig, report: &mut UpdateChaosReport) 
 /// write-write
 /// conflict strict-2PL must serialize without deadlock or tearing.
 fn concurrent_conflicting(cfg: &UpdateChaosConfig, report: &mut UpdateChaosReport) {
-    let sub = Substrate::build(cfg.seed, 0.0);
+    let (sub, classes) = substrate(cfg.seed, 0.0);
     let tor_scope = Pattern::from_glob("dc01.pod*.tor*").expect("glob");
     let plans: Vec<(Pattern, &str, &str)> = vec![
         (
@@ -415,13 +361,19 @@ fn concurrent_conflicting(cfg: &UpdateChaosConfig, report: &mut UpdateChaosRepor
             "fw-3.1.0",
         ),
     ];
-    let synth = Synthesizer::new(&sub.ft.topo, &sub.classes).with_seed(cfg.seed);
+    let synth = Synthesizer::new(&sub.ft.topo, &classes).with_seed(cfg.seed);
     let mut built = Vec::new();
     for (scope, generation, firmware) in &plans {
         // Each plan: its own aggs get firmware, every ToR gets the
         // generation stamp (the shared, conflicting part).
-        let mut ops = sub.ops_for(scope, "CONFIG_VERSION", generation, Some(firmware));
-        ops.extend(sub.ops_for(&tor_scope, "MGMT_GENERATION", generation, None));
+        let mut ops = ops_for(&sub.db, scope, "CONFIG_VERSION", generation, Some(firmware));
+        ops.extend(ops_for(
+            &sub.db,
+            &tor_scope,
+            "MGMT_GENERATION",
+            generation,
+            None,
+        ));
         let plan = synth.synthesize(&ops).expect("concurrent plan feasible");
         report.plans += 1;
         report.waves_planned += plan.waves.len() as u64;
@@ -434,10 +386,10 @@ fn concurrent_conflicting(cfg: &UpdateChaosConfig, report: &mut UpdateChaosRepor
             .iter()
             .enumerate()
             .map(|(i, plan)| {
-                let sub = &sub;
+                let (sub, classes) = (&sub, &classes);
                 let failures = &failures;
                 s.spawn(move || {
-                    let auditor = PublicationAuditor::new(sub, plan);
+                    let auditor = PublicationAuditor::new(sub, classes, plan);
                     let observer = |point: WavePoint| auditor.observe(point);
                     let opts = ExecOptions {
                         task_prefix: format!("planned_update.c{i}"),
@@ -467,7 +419,7 @@ fn concurrent_conflicting(cfg: &UpdateChaosConfig, report: &mut UpdateChaosRepor
         }
     });
     if failures.load(Ordering::SeqCst) > 0 {
-        violation(report, "a concurrent plan failed to commit".into());
+        report.violation("a concurrent plan failed to commit".into());
     }
 
     // No tearing: each agg carries exactly its own plan's pair, and each
@@ -480,7 +432,7 @@ fn concurrent_conflicting(cfg: &UpdateChaosConfig, report: &mut UpdateChaosRepor
                 || dev.get("CONFIG_VERSION").and_then(|v| v.as_str()) != Some(generation)
             {
                 report.torn_configs += 1;
-                violation(report, format!("{name}: torn agg config"));
+                report.violation(format!("{name}: torn agg config"));
             }
         }
     }
@@ -489,7 +441,7 @@ fn concurrent_conflicting(cfg: &UpdateChaosConfig, report: &mut UpdateChaosRepor
         let gen = dev.get("MGMT_GENERATION").and_then(|v| v.as_str());
         if gen != Some("cA") && gen != Some("cB") {
             report.torn_configs += 1;
-            violation(report, format!("{name}: ToR missed both generations"));
+            report.violation(format!("{name}: ToR missed both generations"));
         }
     }
 }

@@ -1,5 +1,5 @@
-//! The gateway reactor: sharded epoll event loops replacing the
-//! thread-per-connection server (DESIGN.md §13).
+//! The gateway reactor: sharded epoll event loops serving every
+//! connection (DESIGN.md §13).
 //!
 //! One thread per engine ticket shard, each owning:
 //!

@@ -7,7 +7,8 @@
 //! source those numbers flow through, replacing the ad-hoc stat structs
 //! each bench binary used to scrape. It is built from scratch on `std`
 //! atomics plus the `parking_lot` shim — no external dependencies, no
-//! `serde` (all export formats are hand-written).
+//! `serde`: [`json`] is the workspace's one JSON emitter and every report
+//! goes through it.
 //!
 //! # Instruments
 //!
@@ -19,7 +20,7 @@
 //! - [`EventRing`] — a bounded ring of structured [`Event`]s (task
 //!   lifecycle, lock grant/wait/release, WAL appends, rollback plans).
 //! - [`Registry`] — a named get-or-create collection of the above with
-//!   TSV/JSON export; cloning is cheap (`Arc`) so one registry threads
+//!   JSON export; cloning is cheap (`Arc`) so one registry threads
 //!   through a whole runtime or simulation run.
 //!
 //! # Naming contract
@@ -50,6 +51,7 @@
 
 mod counter;
 mod histogram;
+pub mod json;
 mod registry;
 mod ring;
 mod span;
@@ -59,35 +61,3 @@ pub use histogram::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use registry::Registry;
 pub use ring::{Event, EventKind, EventRing};
 pub use span::Span;
-
-/// Escapes a string for inclusion in a hand-written JSON document.
-///
-/// Handles the two characters that can actually appear in instrument and
-/// task names (`"` and `\`) plus control characters, which become `\u00XX`.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::json_escape;
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(json_escape("x\ny"), "x\\ny");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-}

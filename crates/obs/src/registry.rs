@@ -1,9 +1,9 @@
-//! Named instrument registry with hand-written TSV/JSON export.
+//! Named instrument registry with JSON export.
 
-use crate::{json_escape, Counter, EventRing, Histogram, HistogramSnapshot};
+use crate::json::{self, Fixed, ToJson, Writer};
+use crate::{Counter, EventRing, Histogram, HistogramSnapshot};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// A named, get-or-create collection of [`Counter`]s and [`Histogram`]s
@@ -103,70 +103,49 @@ impl Registry {
             .collect()
     }
 
-    /// Exports every instrument as TSV. Counter rows are
-    /// `counter \t name \t value`; histogram rows are
-    /// `histogram \t name \t count \t sum \t min \t max \t mean \t p50 \t p90 \t p99`.
-    pub fn to_tsv(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in self.counters() {
-            let _ = writeln!(out, "counter\t{name}\t{v}");
-        }
-        for (name, h) in self.histograms() {
-            let _ = writeln!(
-                out,
-                "histogram\t{name}\t{}\t{}\t{}\t{}\t{:.3}\t{}\t{}\t{}",
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.90),
-                h.quantile(0.99),
-            );
-        }
-        out
-    }
-
     /// Exports every instrument as one JSON object:
     /// `{"counters": {..}, "histograms": {name: {count, sum, min, max,
     /// mean, p50, p90, p99}}, "events": {capacity, recorded, dropped}}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{v}", json_escape(name));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                json_escape(name),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.90),
-                h.quantile(0.99),
-            );
-        }
-        let ev = self.events();
-        let _ = write!(
-            out,
-            "}},\"events\":{{\"capacity\":{},\"recorded\":{},\"dropped\":{}}}}}",
-            ev.capacity(),
-            ev.recorded(),
-            ev.dropped()
-        );
-        out
+        json::to_string(self)
+    }
+}
+
+impl ToJson for Registry {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("counters").object(|w| {
+                for (name, v) in self.counters() {
+                    w.field(&name, v);
+                }
+            });
+            w.key("histograms").object(|w| {
+                for (name, h) in self.histograms() {
+                    w.field(&name, h);
+                }
+            });
+            let ev = self.events();
+            w.key("events").object(|w| {
+                w.field("capacity", ev.capacity())
+                    .field("recorded", ev.recorded())
+                    .field("dropped", ev.dropped());
+            });
+        });
+    }
+}
+
+impl ToJson for HistogramSnapshot {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("count", self.count)
+                .field("sum", self.sum)
+                .field("min", self.min)
+                .field("max", self.max)
+                .field("mean", Fixed(self.mean(), 3))
+                .field("p50", self.quantile(0.50))
+                .field("p90", self.quantile(0.90))
+                .field("p99", self.quantile(0.99));
+        });
     }
 }
 
@@ -202,13 +181,21 @@ mod tests {
         let r = Registry::with_event_capacity(8);
         r.counter("c.one").add(3);
         r.histogram("h.lat_ns").record(1000);
-        let tsv = r.to_tsv();
-        assert!(tsv.contains("counter\tc.one\t3"));
-        assert!(tsv.contains("histogram\th.lat_ns\t1\t1000\t1000\t1000"));
+        r.counter("odd \"name\"\n").inc();
+        r.histogram("h.empty");
+        r.events()
+            .record(crate::EventKind::TaskCompleted { task: 1 });
         let json = r.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        assert!(crate::json::tests::well_formed(&json), "{json}");
         assert!(json.contains("\"c.one\":3"));
-        assert!(json.contains("\"count\":1"));
-        assert!(json.contains("\"capacity\":8"));
+        assert!(json.contains("\"odd \\\"name\\\"\\n\":1"), "{json}");
+        assert!(
+            json.contains(
+                "\"h.lat_ns\":{\"count\":1,\"sum\":1000,\"min\":1000,\"max\":1000,\"mean\":1000.000,"
+            ),
+            "{json}"
+        );
+        assert!(json.ends_with("\"events\":{\"capacity\":8,\"recorded\":1,\"dropped\":0}}"));
+        assert!(crate::json::tests::well_formed(&Registry::new().to_json()));
     }
 }

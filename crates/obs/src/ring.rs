@@ -1,9 +1,8 @@
 //! Bounded structured event ring buffer.
 
-use crate::json_escape;
+use crate::json::{self, ToJson, Writer};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,73 +103,67 @@ impl EventKind {
         }
     }
 
-    /// The event's payload as `key=value` TSV detail text.
-    fn detail_tsv(&self) -> String {
-        match self {
-            EventKind::TaskSubmitted { task, name } => format!("task={task} name={name}"),
-            EventKind::TaskCompleted { task } | EventKind::TaskAborted { task } => {
-                format!("task={task}")
-            }
-            EventKind::LockRequested {
-                task,
-                objects,
-                exclusive,
-            } => format!("task={task} objects={objects} exclusive={exclusive}"),
-            EventKind::LockGranted {
-                task,
-                objects,
-                wait_ns,
-            } => format!("task={task} objects={objects} wait_ns={wait_ns}"),
-            EventKind::LockReleased { task, objects } => format!("task={task} objects={objects}"),
-            EventKind::WalAppend { records, seq } => format!("records={records} seq={seq}"),
-            EventKind::RollbackPlanned { task, steps } => format!("task={task} steps={steps}"),
-            EventKind::CertViolation { task } => format!("task={task}"),
-            EventKind::AuditNonCompliant {
-                spec,
-                devices,
-                non_compliant,
-            } => format!("spec={spec} devices={devices} non_compliant={non_compliant}"),
-        }
-    }
-
-    /// The event's payload as JSON object fields (no braces).
-    fn fields_json(&self) -> String {
+    /// Writes the event's payload as fields of the open JSON object.
+    fn write_fields(&self, w: &mut Writer) {
         match self {
             EventKind::TaskSubmitted { task, name } => {
-                format!("\"task\":{task},\"name\":\"{}\"", json_escape(name))
+                w.field("task", task).field("name", name);
             }
             EventKind::TaskCompleted { task } | EventKind::TaskAborted { task } => {
-                format!("\"task\":{task}")
+                w.field("task", task);
             }
             EventKind::LockRequested {
                 task,
                 objects,
                 exclusive,
-            } => format!("\"task\":{task},\"objects\":{objects},\"exclusive\":{exclusive}"),
+            } => {
+                w.field("task", task)
+                    .field("objects", objects)
+                    .field("exclusive", exclusive);
+            }
             EventKind::LockGranted {
                 task,
                 objects,
                 wait_ns,
-            } => format!("\"task\":{task},\"objects\":{objects},\"wait_ns\":{wait_ns}"),
-            EventKind::LockReleased { task, objects } => {
-                format!("\"task\":{task},\"objects\":{objects}")
+            } => {
+                w.field("task", task)
+                    .field("objects", objects)
+                    .field("wait_ns", wait_ns);
             }
-            EventKind::WalAppend { records, seq } => format!("\"records\":{records},\"seq\":{seq}"),
+            EventKind::LockReleased { task, objects } => {
+                w.field("task", task).field("objects", objects);
+            }
+            EventKind::WalAppend { records, seq } => {
+                w.field("records", records).field("seq", seq);
+            }
             EventKind::RollbackPlanned { task, steps } => {
-                format!("\"task\":{task},\"steps\":{steps}")
+                w.field("task", task).field("steps", steps);
             }
             EventKind::CertViolation { task } => {
-                format!("\"task\":\"{}\"", json_escape(task))
+                w.field("task", task);
             }
             EventKind::AuditNonCompliant {
                 spec,
                 devices,
                 non_compliant,
-            } => format!(
-                "\"spec\":\"{}\",\"devices\":{devices},\"non_compliant\":{non_compliant}",
-                json_escape(spec)
-            ),
+            } => {
+                w.field("spec", spec)
+                    .field("devices", devices)
+                    .field("non_compliant", non_compliant);
+            }
         }
+    }
+}
+
+/// `{"seq", "at_ns", "event", …payload fields}`.
+impl ToJson for Event {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("seq", self.seq)
+                .field("at_ns", self.at_ns)
+                .field("event", self.kind.name());
+            self.kind.write_fields(w);
+        });
     }
 }
 
@@ -277,41 +270,15 @@ impl EventRing {
         self.inner.state.lock().events.iter().cloned().collect()
     }
 
-    /// The buffered events as TSV: a header line, then
-    /// `seq \t at_ns \t event \t detail` rows (detail is `key=value` pairs).
-    pub fn to_tsv(&self) -> String {
-        let mut out = String::from("seq\tat_ns\tevent\tdetail\n");
-        for e in self.snapshot() {
-            let _ = writeln!(
-                out,
-                "{}\t{}\t{}\t{}",
-                e.seq,
-                e.at_ns,
-                e.kind.name(),
-                e.kind.detail_tsv()
-            );
-        }
-        out
-    }
-
     /// The buffered events as a JSON array of objects, oldest first.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, e) in self.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"at_ns\":{},\"event\":\"{}\",{}}}",
-                e.seq,
-                e.at_ns,
-                e.kind.name(),
-                e.kind.fields_json()
-            );
-        }
-        out.push(']');
-        out
+        json::to_string(self)
+    }
+}
+
+impl ToJson for EventRing {
+    fn write_json(&self, w: &mut Writer) {
+        self.snapshot().write_json(w);
     }
 }
 
@@ -341,18 +308,52 @@ mod tests {
     #[test]
     fn export_shapes() {
         let r = EventRing::new();
-        r.record(EventKind::TaskSubmitted {
-            task: 1,
-            name: "drain \"pod\"".into(),
-        });
-        r.record(EventKind::WalAppend { records: 3, seq: 9 });
-        let tsv = r.to_tsv();
-        assert!(tsv.starts_with("seq\tat_ns\tevent\tdetail\n"));
-        assert!(tsv.contains("task_submitted"));
-        assert!(tsv.contains("records=3 seq=9"));
+        assert_eq!(r.to_json(), "[]");
+        let kinds = [
+            EventKind::TaskSubmitted {
+                task: 1,
+                name: "drain \"pod\"\n".into(),
+            },
+            EventKind::TaskCompleted { task: 1 },
+            EventKind::TaskAborted { task: 2 },
+            EventKind::LockRequested {
+                task: 3,
+                objects: 4,
+                exclusive: true,
+            },
+            EventKind::LockGranted {
+                task: 3,
+                objects: 4,
+                wait_ns: 5,
+            },
+            EventKind::LockReleased {
+                task: 3,
+                objects: 4,
+            },
+            EventKind::WalAppend { records: 3, seq: 9 },
+            EventKind::RollbackPlanned { task: 2, steps: 6 },
+            EventKind::CertViolation {
+                task: "audit\\7".into(),
+            },
+            EventKind::AuditNonCompliant {
+                spec: "fleet\taudit".into(),
+                devices: 92,
+                non_compliant: 1,
+            },
+        ];
+        let mut names = std::collections::BTreeSet::new();
+        for kind in kinds {
+            names.insert(kind.name());
+            r.record(kind);
+        }
+        // One of every variant (a new variant makes `write_fields`'s match
+        // non-exhaustive; add it here too).
+        assert_eq!(names.len(), 10);
         let json = r.to_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"event\":\"wal_append\""));
-        assert!(json.contains("drain \\\"pod\\\""), "{json}");
+        assert!(crate::json::tests::well_formed(&json), "{json}");
+        assert!(json.starts_with("[{\"seq\":0,\"at_ns\":"));
+        assert!(json.contains("\"event\":\"wal_append\",\"records\":3,\"seq\":9}"));
+        assert!(json.contains("drain \\\"pod\\\"\\n"), "{json}");
+        assert!(json.contains("\"exclusive\":true"));
     }
 }

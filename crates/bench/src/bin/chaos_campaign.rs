@@ -96,7 +96,6 @@ fn main() -> std::process::ExitCode {
     );
     bench.finish(|w| {
         w.field("bench", "chaos_campaign")
-            .field("smoke", smoke)
             .field("tasks_per_campaign", tasks)
             .field("campaigns", &campaigns)
             .field("determinism_ok", determinism_ok)

@@ -150,7 +150,6 @@ fn main() -> std::process::ExitCode {
     );
     bench.finish(|w| {
         w.field("bench", "repl_throughput")
-            .field("smoke", smoke)
             .field("writes", writes)
             .field("reads_per_node", reads)
             .field("followers", FOLLOWERS)

@@ -188,7 +188,6 @@ fn main() -> std::process::ExitCode {
     );
     bench.finish(|w| {
         w.field("bench", "spec_bench")
-            .field("smoke", smoke)
             .field("devices", devices)
             .field("dirty_pods", shape.dirty_pods)
             .field("rounds", shape.rounds)

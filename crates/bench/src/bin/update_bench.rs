@@ -153,7 +153,6 @@ fn main() -> std::process::ExitCode {
     );
     bench.finish(|w| {
         w.field("bench", "update_bench")
-            .field("smoke", smoke)
             .field("k", k)
             .field("devices", devices)
             .field("switches", switches)

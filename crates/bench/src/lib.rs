@@ -11,7 +11,7 @@
 //!     let speedup = 12.5;
 //!     bench.gate(speedup >= 10.0, format!("speedup {speedup:.1}x >= 10x"));
 //!     bench.finish(|w| {
-//!         w.field("smoke", bench.smoke()).field("rounds", rounds);
+//!         w.field("rounds", rounds);
 //!     })
 //! }
 //! ```
@@ -21,8 +21,10 @@
 //! A full run refreshes the committed `BENCH_<name>.json` at the
 //! repository root; a `--smoke` run writes
 //! `target/bench-smoke/BENCH_<name>.json` instead, so it can never
-//! overwrite a committed result. The report is written *before* gates
-//! are judged — a failing run still leaves its numbers behind.
+//! overwrite a committed result. Every report opens with a `"smoke"`
+//! field saying which kind of run wrote it. The report is written
+//! *before* gates are judged — a failing run still leaves its numbers
+//! behind.
 
 use occam_obs::json::Writer;
 use std::path::Path;
@@ -93,8 +95,8 @@ impl Bench {
         self.failed.len()
     }
 
-    /// Writes the report (`body` writes the root object's fields), then
-    /// prints every failed gate. The status is failure iff a gate failed.
+    /// Writes the report (`"smoke"`, then the root object's fields `body`
+    /// writes), then prints every failed gate. The status is failure iff a gate failed.
     pub fn finish(&self, body: impl FnOnce(&mut Writer)) -> ExitCode {
         let root = repo_root();
         if self.smoke {
@@ -106,7 +108,10 @@ impl Bench {
 
     fn finish_in(&self, dir: &Path, body: impl FnOnce(&mut Writer)) -> ExitCode {
         let mut w = Writer::default();
-        w.object(body);
+        w.object(|w| {
+            w.field("smoke", self.smoke);
+            body(w);
+        });
         let path = dir.join(format!("BENCH_{}.json", self.name));
         std::fs::create_dir_all(dir)
             .and_then(|()| std::fs::write(&path, w.finish() + "\n"))
@@ -161,7 +166,36 @@ mod tests {
         });
         assert_eq!(status, ExitCode::FAILURE);
         let written = std::fs::read_to_string(dir.join("BENCH_unit.json")).expect("report");
-        assert_eq!(written, "{\"gate_failures\":1}\n");
+        assert_eq!(written, "{\"smoke\":true,\"gate_failures\":1}\n");
         std::fs::remove_dir_all(&dir).expect("clean up");
+    }
+
+    #[test]
+    fn committed_reports_have_a_bin_and_are_full_runs() {
+        let bins: Vec<String> =
+            std::fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin"))
+                .expect("src/bin")
+                .map(|e| std::fs::read_to_string(e.expect("dir entry").path()).expect("bin source"))
+                .collect();
+        for entry in std::fs::read_dir(repo_root()).expect("repository root") {
+            let path = entry.expect("dir entry").path();
+            let file = path.file_name().unwrap().to_string_lossy().into_owned();
+            let Some(name) = file
+                .strip_prefix("BENCH_")
+                .and_then(|rest| rest.strip_suffix(".json"))
+            else {
+                continue;
+            };
+            let call = format!("Bench::from_args(\"{name}\")");
+            assert!(
+                bins.iter().any(|src| src.contains(&call)),
+                "{file}: no src/bin/*.rs calls {call}"
+            );
+            let report = std::fs::read_to_string(&path).expect("report");
+            assert!(
+                !report.contains("\"smoke\":true"),
+                "{file} was written by a --smoke run"
+            );
+        }
     }
 }

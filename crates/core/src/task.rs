@@ -338,20 +338,14 @@ impl TaskCtx {
     /// Under [`crate::Isolation::Occ`] no locks are taken and the object
     /// reads from the attempt's frozen snapshot, staging its writes.
     pub fn network(&self, scope: &str) -> TaskResult<Network<'_>> {
-        let pattern = self
-            .runtime
-            .pattern_cache()
-            .get(&occam_regex::glob_to_regex(scope))?;
+        let pattern = self.runtime.pattern_cache().get_glob(scope)?;
         self.scope_object(pattern, LockMode::Exclusive)
     }
 
     /// Creates a read-only network object over `scope` (shared lock); only
     /// `get` operations are allowed.
     pub fn network_read(&self, scope: &str) -> TaskResult<Network<'_>> {
-        let pattern = self
-            .runtime
-            .pattern_cache()
-            .get(&occam_regex::glob_to_regex(scope))?;
+        let pattern = self.runtime.pattern_cache().get_glob(scope)?;
         self.scope_object(pattern, LockMode::Shared)
     }
 

@@ -1,9 +1,9 @@
 //! A blocking gateway client: one request frame out, one response frame
 //! in.
 //!
-//! Used by `gateway_loadgen`, the CI smoke test, and the stress tests.
-//! The client is deliberately dumb — no retries, no pooling — so callers
-//! (the load generator in particular) control backoff policy themselves.
+//! Used by `gateway_loadgen`, the end-to-end benchmark's drivers and the
+//! stress tests. The client is deliberately dumb — no retries, no
+//! pooling — so callers control backoff policy themselves.
 
 use crate::engine::SubmitSpec;
 use crate::proto::{read_frame, write_frame, RecvError, Request, Response, WirePhase};

@@ -27,7 +27,7 @@ use crate::value::AttrValue;
 use occam_obs::{Counter, Histogram, Registry};
 use occam_regex::Pattern;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -169,8 +169,8 @@ impl ViewObs {
     }
 }
 
-/// Keys the cache can hold before the oldest entries are dropped; bounds
-/// memory when callers audit many distinct scopes.
+/// Keys the cache can hold before the oldest-inserted entry is dropped;
+/// bounds memory when callers audit many distinct scopes.
 const MAX_CACHED_VIEWS: usize = 64;
 
 /// The incremental compliance-view cache. One per [`Database`]
@@ -180,7 +180,9 @@ const MAX_CACHED_VIEWS: usize = 64;
 ///
 /// [`Database`]: crate::Database
 pub struct ViewCache {
-    views: Mutex<BTreeMap<String, CachedView>>,
+    /// `(key, view)` in insertion order; at most [`MAX_CACHED_VIEWS`],
+    /// so lookup is a short scan.
+    views: Mutex<VecDeque<(String, CachedView)>>,
     obs: ViewObs,
 }
 
@@ -247,7 +249,7 @@ impl ViewCache {
     /// Creates a cache whose `netdb.view.*` instruments bind to `reg`.
     pub fn new(reg: &Registry) -> ViewCache {
         ViewCache {
-            views: Mutex::new(BTreeMap::new()),
+            views: Mutex::new(VecDeque::new()),
             obs: ViewObs::bound(reg),
         }
     }
@@ -269,10 +271,17 @@ impl ViewCache {
         let route = route_prefix(&prefix);
         let mut report = ComplianceReport::default();
         let mut views = self.views.lock();
-        if !views.contains_key(&key) && views.len() >= MAX_CACHED_VIEWS {
-            views.pop_first();
-        }
-        let cached = views.entry(key).or_insert_with(CachedView::empty);
+        let at = views
+            .iter()
+            .position(|(k, _)| *k == key)
+            .unwrap_or_else(|| {
+                if views.len() >= MAX_CACHED_VIEWS {
+                    views.pop_front();
+                }
+                views.push_back((key, CachedView::empty()));
+                views.len() - 1
+            });
+        let cached = &mut views[at].1;
         for (i, shard) in snap.state.shards.iter().enumerate() {
             if !route_visits(&route, i) {
                 continue;
@@ -517,5 +526,25 @@ mod tests {
             db.views().refresh(&db.read_view(), &scope, &want);
         }
         assert!(db.views().views.lock().len() <= MAX_CACHED_VIEWS);
+    }
+
+    #[test]
+    fn eviction_is_insertion_ordered() {
+        let db = seeded();
+        let want = active_everywhere();
+        let snap = db.read_view();
+        let refresh = |i: usize| {
+            let scope = Pattern::from_glob(&format!("dc01.pod00.sw{i:02}*")).unwrap();
+            db.views().refresh(&snap, &scope, &want)
+        };
+        // One view more than fits, in descending key order: the newest key
+        // always sorts lowest, which is what a by-key eviction would drop.
+        for i in (0..=MAX_CACHED_VIEWS).rev() {
+            refresh(i);
+        }
+        for i in (0..MAX_CACHED_VIEWS).rev() {
+            assert!(refresh(i).reused_shards > 0, "view {i} was evicted");
+        }
+        assert_eq!(refresh(MAX_CACHED_VIEWS).reused_shards, 0);
     }
 }

@@ -40,8 +40,6 @@ struct Entry {
 
 struct Inner {
     map: HashMap<String, Entry>,
-    /// Memoized glob → regex translations (bounded by the same capacity).
-    globs: HashMap<String, String>,
     tick: u64,
     stats: CacheStats,
 }
@@ -63,7 +61,6 @@ impl PatternCache {
             capacity: capacity.max(1),
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
-                globs: HashMap::new(),
                 tick: 0,
                 stats: CacheStats::default(),
             }),
@@ -119,22 +116,10 @@ impl PatternCache {
         Ok(inner.map[regex].pattern.clone())
     }
 
-    /// Fetches the compiled pattern for a glob-style scope, memoizing the
-    /// glob → regex string translation alongside the compiled patterns.
+    /// Fetches the compiled pattern for a glob-style scope; it shares the
+    /// entry of the regex the glob translates to.
     pub fn get_glob(&self, glob: &str) -> Result<Pattern, ParseError> {
-        let memoized = self.inner.lock().globs.get(glob).cloned();
-        let regex = match memoized {
-            Some(r) => r,
-            None => {
-                let r = crate::parser::glob_to_regex(glob);
-                let mut inner = self.inner.lock();
-                if inner.globs.len() < self.capacity {
-                    inner.globs.insert(glob.to_string(), r.clone());
-                }
-                r
-            }
-        };
-        self.get(&regex)
+        self.get(&crate::parser::glob_to_regex(glob))
     }
 
     /// Current counters.
@@ -152,12 +137,9 @@ impl PatternCache {
         self.len() == 0
     }
 
-    /// Drops all entries and memoized translations (counters are
-    /// preserved).
+    /// Drops all entries (counters are preserved).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.map.clear();
-        inner.globs.clear();
+        self.inner.lock().map.clear();
     }
 }
 
@@ -236,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn glob_translation_is_memoized_and_cleared() {
+    fn glob_lookups_hit_until_cleared() {
         let cache = PatternCache::new(4);
         cache.get_glob("dc1.pod3.*").unwrap();
         cache.get_glob("dc1.pod3.*").unwrap();

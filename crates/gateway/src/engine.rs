@@ -305,9 +305,12 @@ impl Engine {
     /// pass a reactor event-loop index directly.
     ///
     /// Scope validation goes through the runtime's shared
-    /// [`occam_regex::PatternCache`]: compiling a scope glob costs
-    /// ~200 µs, ~50× the rest of the admission path, so recompiling per
-    /// submission would cap the whole gateway at ~5k submissions/s.
+    /// [`occam_regex::PatternCache`], and this is the one place a task's
+    /// scope is compiled: spec validation only parses the glob, and the
+    /// worker's `network`/`network_read` hit the entry made here. A miss
+    /// costs ~20 µs of a ~100 µs admission (measured on `audit_fleet`,
+    /// where nearly every scope is new; it was ~300 of ~480 µs), and a
+    /// repeated scope costs a lookup.
     pub fn submit_batch(&self, shard: usize, specs: Vec<SubmitSpec>) -> Vec<SubmitOutcome> {
         let inner = &self.inner;
         let s = shard % inner.shards.len();

@@ -108,7 +108,14 @@ impl SymSet {
 
     /// Iterates over the symbol indices in the set, ascending.
     pub fn iter_indices(self) -> impl Iterator<Item = u8> {
-        (0..NSYM as u8).filter(move |i| self.contains_idx(*i))
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let idx = rest.trailing_zeros() as u8;
+                rest &= rest - 1;
+                idx
+            })
+        })
     }
 
     /// Iterates over the bytes in the set, in symbol-index order.

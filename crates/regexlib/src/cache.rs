@@ -1,14 +1,19 @@
 //! A cache for compiled patterns.
 //!
 //! The paper (§7) notes that the Occam runtime "caches frequently-used
-//! regexes and their translated automata". Compilation cost is dominated by
-//! subset construction and minimization, so the runtime funnels all pattern
-//! construction through a [`PatternCache`].
+//! regexes and their translated automata", and the runtime funnels all
+//! pattern construction through a [`PatternCache`]. With the symbol-class
+//! kernel a scope glob compiles in ~20 µs (it was ~250 µs), so the cache is
+//! no longer what keeps a scope stream wider than its capacity affordable.
+//! What it is for: a repeated scope costs a lookup instead of a compile,
+//! and every holder of one scope shares one compiled [`Pattern`] — and so
+//! one memoized fingerprint, which is what the object tree's relation
+//! cache keys on.
 
 use crate::parser::ParseError;
 use crate::pattern::Pattern;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Cache hit/miss counters.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -40,15 +45,34 @@ struct Entry {
 
 struct Inner {
     map: HashMap<String, Entry>,
+    /// `last_used` → key, one per entry: ticks are unique, so the first
+    /// entry is the least recently used one.
+    by_tick: BTreeMap<u64, String>,
     tick: u64,
     stats: CacheStats,
 }
 
+impl Inner {
+    /// Advances the clock; if `regex` is cached, stamps it most recently
+    /// used and returns its pattern.
+    fn touch(&mut self, regex: &str) -> Option<Pattern> {
+        self.tick += 1;
+        let e = self.map.get_mut(regex)?;
+        let key = self
+            .by_tick
+            .remove(&e.last_used)
+            .expect("every entry is indexed by its tick");
+        e.last_used = self.tick;
+        self.by_tick.insert(self.tick, key);
+        Some(e.pattern.clone())
+    }
+}
+
 /// A bounded, thread-safe cache from regex source to compiled [`Pattern`].
 ///
-/// Eviction is least-recently-used, implemented with a logical clock; the
-/// cache is small (hundreds of scopes), so the O(n) eviction scan is
-/// irrelevant next to compilation cost.
+/// Eviction is least-recently-used, implemented with a logical clock and
+/// an index ordered by it, so a lookup costs O(log n) under the lock
+/// whether or not the cache is full.
 pub struct PatternCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -61,6 +85,7 @@ impl PatternCache {
             capacity: capacity.max(1),
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                by_tick: BTreeMap::new(),
                 tick: 0,
                 stats: CacheStats::default(),
             }),
@@ -71,49 +96,39 @@ impl PatternCache {
     pub fn get(&self, regex: &str) -> Result<Pattern, ParseError> {
         {
             let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(e) = inner.map.get_mut(regex) {
-                e.last_used = tick;
-                let p = e.pattern.clone();
+            if let Some(p) = inner.touch(regex) {
                 inner.stats.hits += 1;
                 return Ok(p);
             }
             inner.stats.misses += 1;
         }
-        // Compile outside the lock: compilation can be slow and other
-        // threads should not serialize behind it.
+        // Compile outside the lock: other threads should not serialize
+        // behind it.
         let pattern = Pattern::new(regex)?;
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
         // Recheck under the lock: another thread may have compiled and
         // inserted the same key while we were compiling. Keep the existing
         // entry — clones of it elsewhere share its memoized fingerprint —
         // and do not evict for a key that needs no new slot.
-        if let Some(e) = inner.map.get_mut(regex) {
-            e.last_used = tick;
-            return Ok(e.pattern.clone());
+        if let Some(p) = inner.touch(regex) {
+            return Ok(p);
         }
         if inner.map.len() >= self.capacity {
-            if let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
+            if let Some((_, oldest)) = inner.by_tick.pop_first() {
                 inner.map.remove(&oldest);
                 inner.stats.evictions += 1;
             }
         }
+        let tick = inner.tick;
+        inner.by_tick.insert(tick, regex.to_string());
         inner.map.insert(
             regex.to_string(),
             Entry {
-                pattern,
+                pattern: pattern.clone(),
                 last_used: tick,
             },
         );
-        Ok(inner.map[regex].pattern.clone())
+        Ok(pattern)
     }
 
     /// Fetches the compiled pattern for a glob-style scope; it shares the
@@ -139,7 +154,9 @@ impl PatternCache {
 
     /// Drops all entries (counters are preserved).
     pub fn clear(&self) {
-        self.inner.lock().map.clear();
+        let mut inner = self.inner.lock();
+        inner.map.clear();
+        inner.by_tick.clear();
     }
 }
 

@@ -6,9 +6,9 @@
 //! complement a bit-flip and lets product constructions walk both machines
 //! in lockstep without option-handling.
 
-use crate::alphabet::{sym_index, NSYM};
+use crate::alphabet::{sym_index, SymSet, NSYM};
 use crate::ast::Ast;
-use crate::nfa::Nfa;
+use crate::nfa::{ClosureScratch, Nfa};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,6 +72,149 @@ impl Relation {
     }
 }
 
+/// Counts the move + ε-closure steps of subset construction performed
+/// process-wide — the compile kernel's unit of work, as [`product_ops`] is
+/// the relation engine's.
+static SUBSET_STEPS: AtomicU64 = AtomicU64::new(0);
+
+/// Total subset-construction steps performed by this process so far. One
+/// compile takes at most `subsets × symbol classes` of them, and a pattern
+/// built by [`crate::Pattern::from_names`] takes none.
+pub fn subset_steps() -> u64 {
+    SUBSET_STEPS.load(Ordering::Relaxed)
+}
+
+/// The partition of the alphabet induced by `nfa`'s label sets: two symbols
+/// share a class iff every label contains both or neither. Ordered by each
+/// class's lowest symbol.
+fn symbol_classes(nfa: &Nfa) -> Vec<SymSet> {
+    let mut classes = vec![SymSet::ALL];
+    for state in &nfa.states {
+        for &(label, _) in &state.trans {
+            for i in 0..classes.len() {
+                let inside = classes[i].intersect(label);
+                if !inside.is_empty() && inside != classes[i] {
+                    classes[i] = classes[i].intersect(label.complement());
+                    classes.push(inside);
+                }
+            }
+        }
+    }
+    classes.sort_unstable_by_key(|c| c.0.trailing_zeros());
+    classes
+}
+
+/// The subsets discovered so far by [`Dfa::from_nfa`], with the rows and
+/// accept bits of the DFA under construction.
+#[derive(Default)]
+struct Subsets {
+    ids: HashMap<Vec<u32>, u32>,
+    trans: Vec<u32>,
+    accept: Vec<bool>,
+    /// Interned subsets whose rows are still to be filled. A subset is
+    /// needed exactly once after interning, so it travels with its id.
+    work: Vec<(u32, Vec<u32>)>,
+}
+
+impl Subsets {
+    fn intern(&mut self, set: &[u32], nfa_accept: u32) -> u32 {
+        if let Some(&id) = self.ids.get(set) {
+            return id;
+        }
+        let id = self.accept.len() as u32;
+        self.accept.push(set.binary_search(&nfa_accept).is_ok());
+        self.trans.resize(self.trans.len() + NSYM, u32::MAX);
+        self.ids.insert(set.to_vec(), id);
+        self.work.push((id, set.to_vec()));
+        id
+    }
+}
+
+/// A refinable partition of `0..n` for [`Dfa::minimize`]: each block is a
+/// contiguous run of `elems`, with its marked members kept at the front so
+/// that splitting a block is cutting its run in two.
+struct Partition {
+    elems: Vec<u32>,
+    pos: Vec<u32>,
+    block_of: Vec<u32>,
+    /// Per block: `[start, end)` in `elems` and the number of marked members.
+    runs: Vec<(u32, u32, u32)>,
+}
+
+impl Partition {
+    /// Two blocks, rejecting (0) and accepting (1) — or one, when all
+    /// states agree.
+    fn new(n: usize, accepts: impl Fn(usize) -> bool) -> Partition {
+        let mut elems: Vec<u32> = (0..n as u32).collect();
+        elems.sort_by_key(|&i| accepts(i as usize));
+        let cut = elems.partition_point(|&i| !accepts(i as usize)) as u32;
+        let mut pos = vec![0; n];
+        for (at, &i) in elems.iter().enumerate() {
+            pos[i as usize] = at as u32;
+        }
+        let both = 0 < cut && (cut as usize) < n;
+        let runs = if both {
+            vec![(0, cut, 0), (cut, n as u32, 0)]
+        } else {
+            vec![(0, n as u32, 0)]
+        };
+        let block_of = (0..n).map(|i| u32::from(both && accepts(i))).collect();
+        Partition {
+            elems,
+            pos,
+            block_of,
+            runs,
+        }
+    }
+
+    fn blocks(&self) -> usize {
+        self.runs.len()
+    }
+
+    fn size(&self, b: u32) -> u32 {
+        let (start, end, _) = self.runs[b as usize];
+        end - start
+    }
+
+    fn members(&self, b: u32) -> &[u32] {
+        let (start, end, _) = self.runs[b as usize];
+        &self.elems[start as usize..end as usize]
+    }
+
+    /// Marks `s` (not yet marked) within its block, reporting the block in
+    /// `touched` on its first mark.
+    fn mark(&mut self, s: u32, touched: &mut Vec<u32>) {
+        let b = self.block_of[s as usize];
+        let (start, _, marked) = &mut self.runs[b as usize];
+        if *marked == 0 {
+            touched.push(b);
+        }
+        let (at, front) = (self.pos[s as usize], *start + *marked);
+        *marked += 1;
+        let other = self.elems[front as usize];
+        self.elems.swap(at as usize, front as usize);
+        self.pos[s as usize] = front;
+        self.pos[other as usize] = at;
+    }
+
+    /// Clears `b`'s marks; if they covered only part of the block, moves
+    /// the marked members into a new block and returns it.
+    fn split(&mut self, b: u32) -> Option<u32> {
+        let (start, end, marked) = self.runs[b as usize];
+        self.runs[b as usize].2 = 0;
+        if start + marked == end {
+            return None;
+        }
+        let new = self.runs.len() as u32;
+        self.runs[b as usize].0 = start + marked;
+        self.runs.push((start, start + marked, 0));
+        for &s in &self.elems[start as usize..(start + marked) as usize] {
+            self.block_of[s as usize] = new;
+        }
+        Some(new)
+    }
+}
+
 /// A deterministic finite automaton over the device-ID alphabet.
 ///
 /// States are numbered `0..num_states`; `trans[s * NSYM + a]` is the
@@ -113,69 +256,86 @@ impl Dfa {
 
     /// Subset construction from an ε-NFA. The result is complete but not
     /// necessarily minimal.
+    ///
+    /// Steps once per *symbol class*, not per symbol: two symbols that sit
+    /// in exactly the same label sets of `nfa` move every subset to the
+    /// same successor, so one move + ε-closure ([`subset_steps`] counts
+    /// them) fills the dense row for the whole class. A hierarchical glob
+    /// has about ten classes — its literal characters and "everything
+    /// else" — against [`NSYM`] symbols. Classes are visited in order of
+    /// their lowest symbol, which numbers the subsets exactly as a
+    /// symbol-by-symbol walk would.
     pub fn from_nfa(nfa: &Nfa) -> Dfa {
-        let mut subset_ids: HashMap<Vec<u32>, u32> = HashMap::new();
-        let mut subsets: Vec<Vec<u32>> = Vec::new();
-        let mut trans: Vec<u32> = Vec::new();
-        let mut accept: Vec<bool> = Vec::new();
-
-        let intern = |set: Vec<u32>,
-                      subsets: &mut Vec<Vec<u32>>,
-                      trans: &mut Vec<u32>,
-                      accept: &mut Vec<bool>,
-                      subset_ids: &mut HashMap<Vec<u32>, u32>|
-         -> u32 {
-            if let Some(&id) = subset_ids.get(&set) {
-                return id;
-            }
-            let id = subsets.len() as u32;
-            accept.push(set.contains(&nfa.accept));
-            subset_ids.insert(set.clone(), id);
-            subsets.push(set);
-            trans.resize(trans.len() + NSYM, u32::MAX);
-            id
-        };
-
-        let start_set = nfa.eps_closure(&[nfa.start]);
-        let start = intern(
-            start_set,
-            &mut subsets,
-            &mut trans,
-            &mut accept,
-            &mut subset_ids,
-        );
-        let mut work = vec![start];
-        while let Some(id) = work.pop() {
-            let cur = subsets[id as usize].clone();
-            for sym in 0..NSYM as u8 {
-                let mut moved: Vec<u32> = Vec::new();
+        let classes = symbol_classes(nfa);
+        let mut scratch = ClosureScratch::default();
+        let mut subsets = Subsets::default();
+        let mut set = vec![nfa.start];
+        nfa.close(&mut set, &mut scratch);
+        let start = subsets.intern(&set, nfa.accept);
+        let mut steps = 0;
+        while let Some((id, cur)) = subsets.work.pop() {
+            for &class in &classes {
+                set.clear();
                 for &s in &cur {
-                    for &(set, t) in &nfa.states[s as usize].trans {
-                        if set.contains_idx(sym) {
-                            moved.push(t);
+                    for &(label, t) in &nfa.states[s as usize].trans {
+                        if !label.intersect(class).is_empty() {
+                            set.push(t);
                         }
                     }
                 }
-                let closed = nfa.eps_closure(&moved);
-                let existed = subset_ids.contains_key(&closed);
-                let tid = intern(
-                    closed,
-                    &mut subsets,
-                    &mut trans,
-                    &mut accept,
-                    &mut subset_ids,
-                );
-                if !existed {
-                    work.push(tid);
+                nfa.close(&mut set, &mut scratch);
+                steps += 1;
+                let to = subsets.intern(&set, nfa.accept);
+                let row = &mut subsets.trans[id as usize * NSYM..][..NSYM];
+                for sym in class.iter_indices() {
+                    row[sym as usize] = to;
                 }
-                trans[id as usize * NSYM + sym as usize] = tid;
             }
+        }
+        SUBSET_STEPS.fetch_add(steps, Ordering::Relaxed);
+        Dfa {
+            trans: subsets.trans,
+            accept: subsets.accept,
+            start,
+        }
+    }
+
+    /// The minimal DFA accepting exactly `names`, built without an AST, an
+    /// NFA or subset construction: the trie of the sorted names is already
+    /// a complete DFA once every missing edge leads to a dead state, and
+    /// [`minimize`](Self::minimize) folds its shared suffixes. A name with
+    /// a byte outside the alphabet can never match and is left out.
+    pub(crate) fn from_names<S: AsRef<str>>(names: &[S]) -> Dfa {
+        const ROOT: u32 = 0;
+        const DEAD: u32 = 1;
+        // Each name as symbol indices; `None` for a foreign byte drops it.
+        let mut words: Vec<Vec<u8>> = names
+            .iter()
+            .filter_map(|n| n.as_ref().bytes().map(sym_index).collect())
+            .collect();
+        words.sort_unstable();
+        words.dedup();
+        let mut trans = vec![DEAD; 2 * NSYM];
+        let mut accept = vec![false; 2];
+        for word in &words {
+            let mut s = ROOT;
+            for &sym in word {
+                let edge = s as usize * NSYM + sym as usize;
+                if trans[edge] == DEAD {
+                    trans[edge] = accept.len() as u32;
+                    trans.resize(trans.len() + NSYM, DEAD);
+                    accept.push(false);
+                }
+                s = trans[edge];
+            }
+            accept[s as usize] = true;
         }
         Dfa {
             trans,
             accept,
-            start,
+            start: ROOT,
         }
+        .minimize()
     }
 
     /// Tests whether the DFA accepts `input`. Bytes outside the alphabet
@@ -409,95 +569,164 @@ impl Dfa {
     /// Hopcroft's partition-refinement minimization.
     ///
     /// Unreachable states are first discarded; the result is the canonical
-    /// minimal complete DFA for the language (up to state numbering).
+    /// minimal complete DFA for the language (up to state numbering; blocks
+    /// are numbered by their lowest member).
+    ///
+    /// Refinement runs over one representative symbol per *column class*
+    /// (symbols on which every state moves alike), so it costs
+    /// O(classes · states · log states) and hashes nothing.
     pub fn minimize(&self) -> Dfa {
-        // Discard unreachable states.
+        let (class_of, reps) = self.column_classes();
+        let k = reps.len();
+
+        // Discard unreachable states, keeping index order: `remap` first
+        // marks the reached states (0), then holds their new indices.
         let n = self.num_states();
-        let mut reach = vec![false; n];
+        let mut remap = vec![u32::MAX; n];
         let mut stack = vec![self.start];
-        reach[self.start as usize] = true;
+        remap[self.start as usize] = 0;
         while let Some(s) = stack.pop() {
-            for sym in 0..NSYM as u8 {
-                let t = self.next(s, sym);
-                if !reach[t as usize] {
-                    reach[t as usize] = true;
+            for &rep in &reps {
+                let t = self.next(s, rep);
+                if remap[t as usize] == u32::MAX {
+                    remap[t as usize] = 0;
                     stack.push(t);
                 }
             }
         }
-        let mut remap = vec![u32::MAX; n];
         let mut states: Vec<u32> = Vec::new();
-        for (s, &r) in reach.iter().enumerate() {
-            if r {
-                remap[s] = states.len() as u32;
+        for (s, slot) in remap.iter_mut().enumerate() {
+            if *slot == 0 {
+                *slot = states.len() as u32;
                 states.push(s as u32);
             }
         }
         let m = states.len();
 
-        // Partition refinement over the reachable subautomaton.
-        // `part[s]` is the block id of (renumbered) state s.
-        let mut part: Vec<u32> = states
-            .iter()
-            .map(|&s| u32::from(self.accept[s as usize]))
-            .collect();
-        let mut num_blocks = if part.contains(&1) && part.contains(&0) {
-            2
-        } else {
-            1
-        };
-        if num_blocks == 1 {
-            // Normalize block ids to 0.
-            for b in part.iter_mut() {
-                *b = 0;
-            }
+        // The reachable subautomaton over class representatives:
+        // `next[i * k + c]`, and per class the states entering each state
+        // (`inv[c * m..][off[c * (m + 1) + t]..off[c * (m + 1) + t + 1]]`),
+        // bucketed by counting sort.
+        let mut next = Vec::with_capacity(m * k);
+        for &s in &states {
+            next.extend(reps.iter().map(|&rep| remap[self.next(s, rep) as usize]));
         }
-        // Iteratively refine: two states stay together iff for every symbol
-        // their successors are in the same block. (Moore's algorithm; with
-        // the small alphabets and automata here it is effectively as fast as
-        // Hopcroft's worklist variant and much simpler to verify.)
-        loop {
-            let mut sig_ids: HashMap<(u32, [u32; NSYM]), u32> = HashMap::new();
-            let mut new_part = vec![0u32; m];
-            let mut next_block = 0u32;
-            for (i, &s) in states.iter().enumerate() {
-                let mut sig = [0u32; NSYM];
-                for (sym, slot) in sig.iter_mut().enumerate() {
-                    let t = self.trans[s as usize * NSYM + sym];
-                    *slot = part[remap[t as usize] as usize];
-                }
-                let key = (part[i], sig);
-                let id = *sig_ids.entry(key).or_insert_with(|| {
-                    let id = next_block;
-                    next_block += 1;
-                    id
-                });
-                new_part[i] = id;
+        let mut off = vec![0u32; k * (m + 1)];
+        let mut inv = vec![0u32; k * m];
+        for c in 0..k {
+            let off = &mut off[c * (m + 1)..][..m + 1];
+            for i in 0..m {
+                off[next[i * k + c] as usize] += 1;
             }
-            if next_block as usize == num_blocks as usize {
-                part = new_part;
-                break;
+            let mut end = 0;
+            for slot in off.iter_mut() {
+                end += *slot;
+                *slot = end;
             }
-            num_blocks = next_block;
-            part = new_part;
+            for i in (0..m).rev() {
+                let slot = &mut off[next[i * k + c] as usize];
+                *slot -= 1;
+                inv[c * m + *slot as usize] = i as u32;
+            }
         }
 
-        let nb = num_blocks as usize;
-        let mut trans = vec![u32::MAX; nb * NSYM];
-        let mut accept = vec![false; nb];
-        for (i, &s) in states.iter().enumerate() {
-            let b = part[i] as usize;
-            accept[b] = self.accept[s as usize];
-            for sym in 0..NSYM {
-                let t = self.trans[s as usize * NSYM + sym];
-                trans[b * NSYM + sym] = part[remap[t as usize] as usize];
+        // Refine {accepting, rejecting} until no block's members disagree
+        // on which block a class leads to. Splitting every block against
+        // the pre-image of a splitter block, and re-queueing only the
+        // smaller half of each split, is Hopcroft's bound.
+        let mut part = Partition::new(m, |i| self.accept[states[i] as usize]);
+        let mut queued = vec![false; part.blocks()];
+        let mut work: Vec<u32> = Vec::new();
+        if part.blocks() == 2 {
+            let smaller = u32::from(part.size(1) < part.size(0));
+            queued[smaller as usize] = true;
+            work.push(smaller);
+        }
+        let mut splitter: Vec<u32> = Vec::new();
+        let mut touched: Vec<u32> = Vec::new();
+        while let Some(a) = work.pop() {
+            queued[a as usize] = false;
+            splitter.clear();
+            splitter.extend_from_slice(part.members(a));
+            for c in 0..k {
+                let (off, inv) = (&off[c * (m + 1)..], &inv[c * m..]);
+                for &t in &splitter {
+                    for &s in &inv[off[t as usize] as usize..off[t as usize + 1] as usize] {
+                        part.mark(s, &mut touched);
+                    }
+                }
+                for b in touched.drain(..) {
+                    let Some(new) = part.split(b) else { continue };
+                    queued.push(false);
+                    let pick = if queued[b as usize] || part.size(new) <= part.size(b) {
+                        new
+                    } else {
+                        b
+                    };
+                    if !std::mem::replace(&mut queued[pick as usize], true) {
+                        work.push(pick);
+                    }
+                }
             }
+        }
+
+        // Number the blocks by first member and emit one row per block.
+        let mut number = vec![u32::MAX; part.blocks()];
+        let mut firsts: Vec<usize> = Vec::new();
+        for i in 0..m {
+            let slot = &mut number[part.block_of[i] as usize];
+            if *slot == u32::MAX {
+                *slot = firsts.len() as u32;
+                firsts.push(i);
+            }
+        }
+        let block = |i: u32| number[part.block_of[i as usize] as usize];
+        let mut trans = Vec::with_capacity(firsts.len() * NSYM);
+        for &i in &firsts {
+            trans.extend(class_of.iter().map(|&c| block(next[i * k + c as usize])));
         }
         Dfa {
             trans,
-            accept,
-            start: part[remap[self.start as usize] as usize],
+            accept: firsts
+                .iter()
+                .map(|&i| self.accept[states[i] as usize])
+                .collect(),
+            start: block(remap[self.start as usize]),
         }
+    }
+
+    /// Groups the symbols whose columns of the transition table are
+    /// identical: the class index of every symbol, and one representative
+    /// symbol per class. One pass over the table — each row splits the
+    /// classes found so far by the successor it assigns their members.
+    fn column_classes(&self) -> ([u8; NSYM], Vec<u8>) {
+        let mut class_of = [0u8; NSYM];
+        let mut reps = vec![0u8];
+        // Per row: the successor of each class's first member, and the
+        // classes split off in this row as (old class, successor, new class).
+        let mut first = [u32::MAX; NSYM];
+        let mut splits: Vec<(u8, u32, u8)> = Vec::new();
+        for row in self.trans.chunks_exact(NSYM) {
+            first[..reps.len()].fill(u32::MAX);
+            splits.clear();
+            for (sym, &t) in row.iter().enumerate() {
+                let c = class_of[sym];
+                if first[c as usize] == u32::MAX {
+                    first[c as usize] = t;
+                } else if first[c as usize] != t {
+                    class_of[sym] = match splits.iter().find(|s| (s.0, s.1) == (c, t)) {
+                        Some(s) => s.2,
+                        None => {
+                            let new = reps.len() as u8;
+                            splits.push((c, t, new));
+                            reps.push(sym as u8);
+                            new
+                        }
+                    };
+                }
+            }
+        }
+        (class_of, reps)
     }
 
     /// Enumerates up to `limit` accepted strings in shortest-first order.

@@ -47,7 +47,7 @@ pub mod toregex;
 pub use alphabet::{SymSet, NSYM};
 pub use ast::Ast;
 pub use cache::{CacheStats, PatternCache};
-pub use dfa::{product_ops, Dfa, Relation};
+pub use dfa::{product_ops, subset_steps, Dfa, Relation};
 pub use nfa::Nfa;
 pub use parser::{glob_to_regex, parse, ParseError};
 pub use pattern::Pattern;

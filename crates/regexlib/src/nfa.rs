@@ -110,26 +110,75 @@ impl Nfa {
 
     /// Computes the ε-closure of a set of states (sorted, deduplicated).
     pub fn eps_closure(&self, states: &[u32]) -> Vec<u32> {
-        let mut seen = vec![false; self.states.len()];
-        let mut stack: Vec<u32> = Vec::with_capacity(states.len());
-        for &s in states {
-            if !seen[s as usize] {
-                seen[s as usize] = true;
-                stack.push(s);
-            }
-        }
-        let mut out = stack.clone();
-        while let Some(s) = stack.pop() {
-            for &t in &self.states[s as usize].eps {
-                if !seen[t as usize] {
-                    seen[t as usize] = true;
-                    stack.push(t);
-                    out.push(t);
+        let mut set = states.to_vec();
+        self.close(&mut set, &mut ClosureScratch::default());
+        set
+    }
+
+    /// Extends `set` in place to its ε-closure, sorted and deduplicated.
+    ///
+    /// `scratch` carries the `seen` marks from one closure to the next:
+    /// subset construction takes hundreds of closures over one NFA, and
+    /// with a generation stamp per call none of them allocates or clears
+    /// its own marks.
+    pub(crate) fn close(&self, set: &mut Vec<u32>, scratch: &mut ClosureScratch) {
+        let gen = scratch.next_generation(self.states.len());
+        let seen = &mut scratch.seen;
+        set.retain(|&s| std::mem::replace(&mut seen[s as usize], gen) != gen);
+        // `set` doubles as the BFS queue: everything before `head` has had
+        // its ε-successors pushed.
+        let mut head = 0;
+        while head < set.len() {
+            for &t in &self.states[set[head] as usize].eps {
+                if std::mem::replace(&mut seen[t as usize], gen) != gen {
+                    set.push(t);
                 }
             }
+            head += 1;
         }
-        out.sort_unstable();
-        out
+        set.sort_unstable();
+    }
+
+    /// Simulates the NFA directly on `input`, one ε-closure per byte. This
+    /// is the reference semantics the compiled [`crate::Dfa`] is tested
+    /// against; nothing on a task's path calls it.
+    pub fn matches(&self, input: &str) -> bool {
+        let mut scratch = ClosureScratch::default();
+        let mut cur = vec![self.start];
+        self.close(&mut cur, &mut scratch);
+        for b in input.bytes() {
+            let mut next = Vec::new();
+            for &s in &cur {
+                for &(set, t) in &self.states[s as usize].trans {
+                    if set.contains(b) {
+                        next.push(t);
+                    }
+                }
+            }
+            self.close(&mut next, &mut scratch);
+            cur = next;
+        }
+        cur.binary_search(&self.accept).is_ok()
+    }
+}
+
+/// Generation-stamped `seen` marks for [`Nfa::close`]: state `s` is in the
+/// closure being built iff `seen[s]` equals the current generation.
+#[derive(Default)]
+pub(crate) struct ClosureScratch {
+    seen: Vec<u32>,
+    generation: u32,
+}
+
+impl ClosureScratch {
+    fn next_generation(&mut self, states: usize) -> u32 {
+        if self.seen.len() != states || self.generation == u32::MAX {
+            self.seen.clear();
+            self.seen.resize(states, 0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        self.generation
     }
 }
 
@@ -138,60 +187,40 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
-    /// Simulates the NFA directly (for cross-checking the DFA).
-    fn nfa_matches(nfa: &Nfa, input: &str) -> bool {
-        let mut cur = nfa.eps_closure(&[nfa.start]);
-        for b in input.bytes() {
-            let mut next = Vec::new();
-            for &s in &cur {
-                for &(set, t) in &nfa.states[s as usize].trans {
-                    if set.contains(b) {
-                        next.push(t);
-                    }
-                }
-            }
-            cur = nfa.eps_closure(&next);
-            if cur.is_empty() {
-                return false;
-            }
-        }
-        cur.contains(&nfa.accept)
-    }
-
     #[test]
     fn literal_match() {
         let nfa = Nfa::from_ast(&parse("abc").unwrap());
-        assert!(nfa_matches(&nfa, "abc"));
-        assert!(!nfa_matches(&nfa, "ab"));
-        assert!(!nfa_matches(&nfa, "abcd"));
-        assert!(!nfa_matches(&nfa, ""));
+        assert!(nfa.matches("abc"));
+        assert!(!nfa.matches("ab"));
+        assert!(!nfa.matches("abcd"));
+        assert!(!nfa.matches(""));
     }
 
     #[test]
     fn star_and_alt() {
         let nfa = Nfa::from_ast(&parse("(ab|c)*").unwrap());
         for ok in ["", "ab", "c", "abc", "cab", "ababcc"] {
-            assert!(nfa_matches(&nfa, ok), "{ok}");
+            assert!(nfa.matches(ok), "{ok}");
         }
         for bad in ["a", "b", "ba", "abx"] {
-            assert!(!nfa_matches(&nfa, bad), "{bad}");
+            assert!(!nfa.matches(bad), "{bad}");
         }
     }
 
     #[test]
     fn empty_language_matches_nothing() {
         let nfa = Nfa::from_ast(&parse("[]").unwrap());
-        assert!(!nfa_matches(&nfa, ""));
-        assert!(!nfa_matches(&nfa, "a"));
+        assert!(!nfa.matches(""));
+        assert!(!nfa.matches("a"));
     }
 
     #[test]
     fn scope_pattern() {
         let nfa = Nfa::from_ast(&parse(r"dc1\.pod[1-2]\..*").unwrap());
-        assert!(nfa_matches(&nfa, "dc1.pod1.tor3"));
-        assert!(nfa_matches(&nfa, "dc1.pod2."));
-        assert!(!nfa_matches(&nfa, "dc1.pod3.tor1"));
-        assert!(!nfa_matches(&nfa, "dc1.pod1"));
+        assert!(nfa.matches("dc1.pod1.tor3"));
+        assert!(nfa.matches("dc1.pod2."));
+        assert!(!nfa.matches("dc1.pod3.tor1"));
+        assert!(!nfa.matches("dc1.pod1"));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The high-level [`Pattern`] type: a regex scope paired with its compiled
 //! DFA, supporting the language algebra the object tree needs.
 
-use crate::ast::Ast;
 use crate::dfa::{Dfa, Relation};
 use crate::parser::{glob_to_regex, parse, ParseError};
 use crate::toregex::dfa_to_regex;
@@ -77,13 +76,8 @@ impl Pattern {
     /// This is the `to_regex(dev_names)` helper from the paper's dynamic
     /// object creation example.
     pub fn from_names<S: AsRef<str>>(names: &[S]) -> Result<Pattern, ParseError> {
-        if names.is_empty() {
-            return Pattern::new("[]");
-        }
-        let ast = Ast::alt(names.iter().map(|n| Ast::literal_str(n.as_ref())).collect());
-        let dfa = Dfa::from_ast(&ast);
-        // Keep a readable alternation as the source rather than the
-        // eliminated form.
+        // A readable alternation as the source rather than the eliminated
+        // form; `[]` is the dialect's spelling of the empty language.
         let mut src = String::new();
         for (i, n) in names.iter().enumerate() {
             if i > 0 {
@@ -96,9 +90,12 @@ impl Pattern {
                 src.push(c);
             }
         }
+        if names.is_empty() {
+            src.push_str("[]");
+        }
         Ok(Pattern {
             src,
-            inner: Inner::new(dfa),
+            inner: Inner::new(Dfa::from_names(names)),
         })
     }
 

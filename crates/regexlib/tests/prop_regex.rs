@@ -4,7 +4,7 @@
 //! region operations must form a boolean algebra whose results round-trip
 //! through regex syntax.
 
-use occam_regex::{dfa_to_regex, parse, Dfa, Pattern, Relation};
+use occam_regex::{dfa_to_regex, parse, Dfa, Nfa, Pattern, Relation};
 use proptest::prelude::*;
 
 /// A generator of random ASTs in *source* form, so every case also
@@ -59,6 +59,22 @@ fn arb_input() -> impl Strategy<Value = String> {
         0..8,
     )
     .prop_map(|v| v.into_iter().collect())
+}
+
+/// Device-name-like strings from a small space, so that a set of them has
+/// shared prefixes and suffixes, duplicates, and names that prefix others.
+fn arb_device_name() -> impl Strategy<Value = String> {
+    (
+        prop::sample::select(vec!["", "dc01.", "dc02."]),
+        prop::sample::select(vec!["pod", "p-"]),
+        0u8..12,
+        prop::sample::select(vec!["", ".tor", ".agg"]),
+        0u8..4,
+    )
+        .prop_map(|(dc, pod, p, role, r)| match role {
+            "" => format!("{dc}{pod}{p}"),
+            _ => format!("{dc}{pod}{p}{role}{r}"),
+        })
 }
 
 fn compile(src: &str) -> Dfa {
@@ -136,11 +152,32 @@ proptest! {
         }
     }
 
+    /// The compiled DFA and the ε-NFA it was built from agree on membership.
+    #[test]
+    fn dfa_agrees_with_nfa_simulation(src in arb_regex(), input in arb_input()) {
+        let nfa = Nfa::from_ast(&parse(&src).unwrap());
+        let want = nfa.matches(&input);
+        prop_assert_eq!(Dfa::from_nfa(&nfa).matches(&input), want, "{:?} on {:?}", src, input);
+        prop_assert_eq!(compile(&src).matches(&input), want, "{:?} on {:?}", src, input);
+    }
+
+    /// Minimizing a minimal machine changes neither its size nor its
+    /// fingerprint.
+    #[test]
+    fn minimize_is_idempotent(src in arb_regex()) {
+        let raw = Dfa::from_nfa(&Nfa::from_ast(&parse(&src).unwrap()));
+        let min = raw.minimize();
+        let again = min.minimize();
+        prop_assert_eq!(again.num_states(), min.num_states());
+        prop_assert_eq!(again.canonical_hash(), min.canonical_hash());
+        prop_assert_eq!(raw.canonical_hash(), min.canonical_hash());
+    }
+
     /// Minimization never changes the language and never grows the machine.
     #[test]
     fn minimize_preserves_language(src in arb_regex(), input in arb_input()) {
         let ast = parse(&src).unwrap();
-        let nfa = occam_regex::Nfa::from_ast(&ast);
+        let nfa = Nfa::from_ast(&ast);
         let raw = Dfa::from_nfa(&nfa);
         let min = raw.minimize();
         prop_assert_eq!(raw.matches(&input), min.matches(&input));
@@ -210,5 +247,24 @@ proptest! {
         prop_assert!(!p.matches("zzz.unrelated"));
         let unique: std::collections::HashSet<_> = names.iter().collect();
         prop_assert_eq!(p.count(1000), Some(unique.len() as u64));
+    }
+
+    /// The direct name-set construction yields the same canonical machine
+    /// as compiling the escaped alternation: shared prefixes, duplicates
+    /// and the empty set included.
+    #[test]
+    fn from_names_is_the_compiled_alternation(
+        names in proptest::collection::vec(arb_device_name(), 0..64),
+    ) {
+        let direct = Pattern::from_names(&names).unwrap();
+        let escaped: Vec<String> = names
+            .iter()
+            .map(|n| n.replace('.', r"\.").replace('-', r"\-"))
+            .collect();
+        let src = if names.is_empty() { "[]".to_string() } else { escaped.join("|") };
+        let compiled = Pattern::new(&src).unwrap();
+        prop_assert!(direct.equivalent(&compiled), "{:?}", names);
+        prop_assert_eq!(direct.dfa().num_states(), compiled.dfa().num_states());
+        prop_assert_eq!(direct.fingerprint(), compiled.fingerprint());
     }
 }

@@ -198,9 +198,10 @@ fn run_waves(spec: &Spec, ctx: &TaskCtx) -> TaskResult<()> {
         UpdateObs,
     };
 
-    let scope = Pattern::from_glob(&spec.scope)
-        .map_err(|e| TaskError::Failed(format!("bad scope glob `{}`: {e}", spec.scope)))?;
+    // Both globs parsed at validation; the scope was compiled into the
+    // runtime's cache at admission.
     let rt = ctx.runtime();
+    let scope = rt.pattern_cache().get_glob(&spec.scope)?;
     let obs = UpdateObs::bind(rt.obs());
 
     // Build the target snapshot as an overlay over the live base: only
@@ -250,15 +251,12 @@ fn run_waves(spec: &Spec, ctx: &TaskCtx) -> TaskResult<()> {
         Some(svc) => {
             let net = svc.net();
             let net = net.lock();
-            let waypoint =
-                match &spec.waypoint {
-                    Some(glob) => Some(Pattern::from_glob(glob).map_err(|e| {
-                        TaskError::Failed(format!("bad waypoint glob `{glob}`: {e}"))
-                    })?),
-                    None => net.middlebox.and_then(|mb| {
-                        Pattern::from_names(&[net.topo.device(mb).name.as_str()]).ok()
-                    }),
-                };
+            let waypoint = match &spec.waypoint {
+                Some(glob) => Some(rt.pattern_cache().get_glob(glob)?),
+                None => net
+                    .middlebox
+                    .and_then(|mb| Pattern::from_names(&[net.topo.device(mb).name.as_str()]).ok()),
+            };
             let classes: Vec<TrafficClass> = net
                 .flows()
                 .iter()

@@ -45,12 +45,23 @@ pub fn validate(spec: &Spec) -> Result<Vec<Step>, SpecError> {
     Ok(steps)
 }
 
+/// Checks a glob's *syntax*. Automaton construction is total once the
+/// parse succeeds, so nothing is compiled here: the task's one scope
+/// compile happens at admission, through the runtime's pattern cache.
+fn check_glob(what: &str, glob: &str) -> Result<(), SpecError> {
+    occam_regex::parse(&occam_regex::glob_to_regex(glob))
+        .map(drop)
+        .map_err(|e| SpecError::general(format!("bad {what} glob `{glob}`: {e}")))
+}
+
 fn semantic(spec: &Spec) -> Result<(), SpecError> {
     if spec.scope.is_empty() {
         return Err(SpecError::general("spec declares no `scope`"));
     }
-    occam_regex::Pattern::from_glob(&spec.scope)
-        .map_err(|e| SpecError::general(format!("bad scope glob `{}`: {e}", spec.scope)))?;
+    check_glob("scope", &spec.scope)?;
+    if let Some(glob) = &spec.waypoint {
+        check_glob("waypoint", glob)?;
+    }
 
     match spec.mode {
         Mode::Audit { .. } => {
@@ -225,6 +236,12 @@ mod tests {
         waves.config = None;
         waves.sets = vec![("MTU".into(), AttrValue::Int(1500))];
         rejected(&waves, "target firmware");
+
+        let mut waves_with_bad_waypoint = Spec::new("bad_wp", "dc01.*");
+        waves_with_bad_waypoint.strategy = Strategy::Waves;
+        waves_with_bad_waypoint.config = Some("g".into());
+        waves_with_bad_waypoint.waypoint = Some("dc01.pod0[0".into());
+        rejected(&waves_with_bad_waypoint, "waypoint");
     }
 
     #[test]
